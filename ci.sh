@@ -33,6 +33,13 @@ echo "== tier-1: build + tests"
 cargo build --release
 cargo test -q
 
+echo "== corun-bench: build and test the benchmark against this workspace"
+# corun-bench is a package of its own (its own Cargo.lock, outside the
+# workspace), so the workspace build above never compiles it. --locked
+# fails here, not in a benchmark run, when a change to an API it calls
+# or to the dependency graph behind its lockfile breaks it.
+cargo test -q --release --locked --manifest-path corun-bench/Cargo.toml
+
 echo "== sanitizer-feature tests"
 cargo test -q -p corun-verify -p apu-sim --features corun-verify/sanitize
 

@@ -10,14 +10,13 @@
 //! lifting on their own worker threads (in-process mode) or in separate
 //! daemons (remote mode).
 
-use crate::fleetlog::{
-    repair_fleetlog_tail, replay_fleetlog, scan_fleetlog, FleetLog, FleetRecord, RecoveredLoc,
-};
+use crate::fleetlog::{replay_fleetlog, FleetRecord, RecoveredLoc, FLEETLOG_FORMAT_VERSION};
 use crate::net::RpcSnapshot;
 use crate::placement::{HashRing, LeastLoaded, Placement, ShardView};
 use crate::router::{FleetJob, FleetJobId, JobLoc, Router};
 use crate::shard::{JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
 use corun_core::budget::{partition_cluster_cap, ShardDemand};
+use corun_serve::wal::{self, repair_tail, Journal};
 use corun_verify::{Code, Diagnostic, Report, Severity};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -92,7 +91,7 @@ pub struct FleetConfig {
     pub dead_after: u32,
     /// Rounds between probes of an open-circuit shard.
     pub probe_every_rounds: u64,
-    /// Write-ahead coordinator journal (`FleetLog`); `None` disables
+    /// Write-ahead coordinator journal (the fleetlog); `None` disables
     /// coordinator crash recovery.
     pub journal_path: Option<PathBuf>,
     /// Run `Router::check_books` every round (O(jobs); tests only).
@@ -266,65 +265,55 @@ pub struct Fleet {
     fenced_seen: Vec<u64>,
     /// Write-ahead journal; dropped (with an FLT009 diagnostic) on the
     /// first write failure rather than stalling the fleet.
-    log: Option<FleetLog>,
+    log: Option<Journal>,
     /// Diagnostics raised while running: circuit opens (FLT007), fenced
     /// replies (FLT008), journal write failures (FLT009).
     chaos: Report,
     recoveries: usize,
 }
 
+/// The books a coordinator starts from: empty for [`Fleet::new`],
+/// rebuilt from the fleetlog for [`Fleet::recover`].
+struct Books {
+    router: Router,
+    /// Shard-local id -> fleet id, per shard.
+    outstanding: Vec<BTreeMap<usize, FleetJobId>>,
+    caps_w: Vec<f64>,
+    log: Option<Journal>,
+    /// Coordinator recoveries this fleetlog has been through, this one
+    /// included.
+    recoveries: usize,
+    chaos: Report,
+}
+
 impl Fleet {
     /// Build a coordinator over `shards` backends. Fails on `FLT0xx`
     /// lint errors or a backend-count mismatch.
     pub fn new(cfg: FleetConfig, shards: Vec<Box<dyn ShardBackend>>) -> Result<Fleet, String> {
-        if shards.len() != cfg.shards {
-            return Err(format!(
-                "config says {} shards but {} backends were provided",
-                cfg.shards,
-                shards.len()
-            ));
-        }
-        let report = cfg.lint();
-        if report.has_errors() {
-            return Err(format!(
-                "fleet config failed lint:\n{}",
-                report.render_human()
-            ));
-        }
-        let n = cfg.shards;
-        let log = match &cfg.journal_path {
-            Some(path) => Some(
-                FleetLog::create(path, n, cfg.cluster_cap_w)
-                    .map_err(|e| format!("cannot create fleet journal {}: {e}", path.display()))?,
-            ),
-            None => None,
-        };
-        let router = Router::new(n, cfg.placement.build(n));
-        let mut fleet = Fleet {
-            router,
-            view: ShardView::fresh(n),
-            outstanding: vec![BTreeMap::new(); n],
-            folded_terminal: vec![0; n],
-            force_sweep: vec![false; n],
-            metrics_cache: vec![ShardMetrics::default(); n],
-            caps_w: vec![0.0; n],
-            rounds: 0,
-            steals_total: 0,
-            rebalances: 0,
-            lost_requeues: 0,
-            max_cap_sum_w: 0.0,
-            next_key: 0,
-            breakers: vec![Breaker::new(); n],
-            fenced_seen: vec![0; n],
-            log,
-            chaos: Report::new(),
-            recoveries: 0,
-            shards,
-            cfg,
-        };
-        fleet.poll_shards();
-        fleet.rebalance();
-        Ok(fleet)
+        Fleet::build(cfg, shards, |cfg| {
+            let n = cfg.shards;
+            let log = match &cfg.journal_path {
+                Some(path) => {
+                    let meta = FleetRecord::Meta {
+                        version: FLEETLOG_FORMAT_VERSION,
+                        shards: n,
+                        cluster_cap_w: cfg.cluster_cap_w,
+                    };
+                    Some(Journal::create(path, &meta).map_err(|e| {
+                        format!("cannot create fleet journal {}: {e}", path.display())
+                    })?)
+                }
+                None => None,
+            };
+            Ok(Books {
+                router: Router::new(n, cfg.placement.build(n)),
+                outstanding: vec![BTreeMap::new(); n],
+                caps_w: vec![0.0; n],
+                log,
+                recoveries: 0,
+                chaos: Report::new(),
+            })
+        })
     }
 
     /// Rebuild a coordinator from its write-ahead journal after a crash
@@ -339,6 +328,77 @@ impl Fleet {
             .journal_path
             .clone()
             .ok_or("fleet recovery requires a journal path")?;
+        Fleet::build(cfg, shards, |cfg| {
+            let scan = wal::scan::<FleetRecord>(&path, Code::Flt009);
+            if scan.report.has_errors() {
+                return Err(format!(
+                    "fleet journal {} is unrecoverable:\n{}",
+                    path.display(),
+                    scan.report.render_human()
+                ));
+            }
+            let rec = replay_fleetlog(&scan.records)?;
+            if rec.shards != cfg.shards {
+                return Err(format!(
+                    "fleet journal books {} shards but config says {}",
+                    rec.shards, cfg.shards
+                ));
+            }
+            let n = cfg.shards;
+            let jobs: Vec<FleetJob> = rec
+                .jobs
+                .iter()
+                .map(|j| FleetJob {
+                    key: j.key.clone(),
+                    spec: j.spec.clone(),
+                    loc: match j.loc {
+                        // `Router::restore` re-places backlog jobs, so the
+                        // stale shard index here is only a fallback.
+                        RecoveredLoc::Pending => JobLoc::Backlog(0),
+                        RecoveredLoc::InDoubt(s) => JobLoc::InDoubt(s),
+                        RecoveredLoc::Submitted { shard, local_id } => {
+                            JobLoc::Submitted { shard, local_id }
+                        }
+                        RecoveredLoc::Done(s) => JobLoc::Done(s),
+                        RecoveredLoc::Dead(s) => JobLoc::DeadLetter(s),
+                        RecoveredLoc::Rejected => JobLoc::Rejected,
+                    },
+                    submits: j.submits,
+                    requeues: j.requeues,
+                })
+                .collect();
+            let router = Router::restore(n, cfg.placement.build(n), jobs, &ShardView::fresh(n));
+            let mut outstanding = vec![BTreeMap::new(); n];
+            for (id, j) in rec.jobs.iter().enumerate() {
+                if let RecoveredLoc::Submitted { shard, local_id } = j.loc {
+                    outstanding[shard].insert(local_id, id);
+                }
+            }
+            repair_tail(&path, &scan)
+                .map_err(|e| format!("cannot repair fleet journal tail: {e}"))?;
+            let mut log = Journal::open_append(&path, scan.records.len() as u64)
+                .map_err(|e| format!("cannot reopen fleet journal: {e}"))?;
+            log.append(&FleetRecord::Recovered)
+                .map_err(|e| format!("cannot mark fleet journal recovered: {e}"))?;
+            Ok(Books {
+                router,
+                outstanding,
+                caps_w: rec.caps_w.unwrap_or_else(|| vec![0.0; n]),
+                log: Some(log),
+                recoveries: rec.recoveries + 1,
+                chaos: scan.report,
+            })
+        })
+    }
+
+    /// The one constructor: check the backend count and the `FLT0xx`
+    /// lints, then let `books` create or recover the fleetlog, and start
+    /// the coordinator from what it returns.
+    fn build(
+        cfg: FleetConfig,
+        shards: Vec<Box<dyn ShardBackend>>,
+        books: impl FnOnce(&FleetConfig) -> Result<Books, String>,
+    ) -> Result<Fleet, String> {
         if shards.len() != cfg.shards {
             return Err(format!(
                 "config says {} shards but {} backends were provided",
@@ -353,82 +413,36 @@ impl Fleet {
                 report.render_human()
             ));
         }
-        let scan = scan_fleetlog(&path);
-        if scan.report.has_errors() {
-            return Err(format!(
-                "fleet journal {} is unrecoverable:\n{}",
-                path.display(),
-                scan.report.render_human()
-            ));
-        }
-        let rec = replay_fleetlog(&scan.records)?;
-        if rec.shards != cfg.shards {
-            return Err(format!(
-                "fleet journal books {} shards but config says {}",
-                rec.shards, cfg.shards
-            ));
-        }
-        let n = cfg.shards;
-        let view = ShardView::fresh(n);
-        let jobs: Vec<FleetJob> = rec
-            .jobs
-            .iter()
-            .map(|j| FleetJob {
-                key: j.key.clone(),
-                spec: j.spec.clone(),
-                loc: match j.loc {
-                    // `Router::restore` re-places backlog jobs, so the
-                    // stale shard index here is only a fallback.
-                    RecoveredLoc::Pending => JobLoc::Backlog(0),
-                    RecoveredLoc::InDoubt(s) => JobLoc::InDoubt(s),
-                    RecoveredLoc::Submitted { shard, local_id } => {
-                        JobLoc::Submitted { shard, local_id }
-                    }
-                    RecoveredLoc::Done(s) => JobLoc::Done(s),
-                    RecoveredLoc::Dead(s) => JobLoc::DeadLetter(s),
-                    RecoveredLoc::Rejected => JobLoc::Rejected,
-                },
-                submits: j.submits,
-                requeues: j.requeues,
-            })
-            .collect();
-        let next_key = jobs.len() as u64;
-        let router = Router::restore(n, cfg.placement.build(n), jobs, &view);
-        let mut outstanding = vec![BTreeMap::new(); n];
-        for (id, j) in rec.jobs.iter().enumerate() {
-            if let RecoveredLoc::Submitted { shard, local_id } = j.loc {
-                outstanding[shard].insert(local_id, id);
-            }
-        }
-        let caps_w = rec.caps_w.clone().unwrap_or_else(|| vec![0.0; n]);
-        repair_fleetlog_tail(&path, &scan)
-            .map_err(|e| format!("cannot repair fleet journal tail: {e}"))?;
-        let mut log = FleetLog::open_append(&path, scan.records.len() as u64)
-            .map_err(|e| format!("cannot reopen fleet journal: {e}"))?;
-        log.append(&FleetRecord::Recovered)
-            .map_err(|e| format!("cannot mark fleet journal recovered: {e}"))?;
-        let max_cap_sum_w = caps_w.iter().sum();
-        let mut fleet = Fleet {
+        let Books {
             router,
-            view,
+            outstanding,
+            caps_w,
+            log,
+            recoveries,
+            chaos,
+        } = books(&cfg)?;
+        let n = cfg.shards;
+        let mut fleet = Fleet {
+            next_key: router.jobs() as u64,
+            router,
+            view: ShardView::fresh(n),
             outstanding,
             folded_terminal: vec![0; n],
-            // Every shard gets a full sweep: the books may trail what
-            // shards finished while the coordinator was dead.
-            force_sweep: vec![true; n],
+            // A recovered coordinator sweeps every shard: its books may
+            // trail what shards finished while it was dead.
+            force_sweep: vec![recoveries > 0; n],
             metrics_cache: vec![ShardMetrics::default(); n],
+            max_cap_sum_w: caps_w.iter().sum(),
             caps_w,
             rounds: 0,
             steals_total: 0,
             rebalances: 0,
             lost_requeues: 0,
-            max_cap_sum_w,
-            next_key,
             breakers: vec![Breaker::new(); n],
             fenced_seen: vec![0; n],
-            log: Some(log),
-            chaos: scan.report,
-            recoveries: rec.recoveries + 1,
+            log,
+            chaos,
+            recoveries,
             shards,
             cfg,
         };
@@ -549,6 +563,10 @@ impl Fleet {
         loop {
             let folded = self.pump();
             if self.router.terminal() == self.router.jobs() {
+                // The fold may have seen completions newer than this
+                // round's poll; refresh so the shard snapshots returned
+                // are no older than the books.
+                self.poll_shards();
                 return Ok(self.metrics());
             }
             // corun-lint: allow(wall-clock) — operator-facing drain deadline, an I/O edge.

@@ -2,9 +2,11 @@
 //!
 //! The shard journals make each *shard* kill -9-safe; this log makes the
 //! *coordinator* recoverable: every placement decision is journaled via
-//! the same fsync'd writer ([`corun_serve::Journal`]) the shards use, so
-//! `corun fleet --recover` rebuilds the router books after a coordinator
-//! crash with nothing lost and nothing double-dispatched.
+//! the same write-ahead log ([`corun_serve::wal`]: one fsync'd writer,
+//! one scan, one tail repair) the shards use, so `corun fleet --recover`
+//! rebuilds the router books after a coordinator crash with nothing lost
+//! and nothing double-dispatched. This module is only the vocabulary
+//! ([`FleetRecord`]) and its fold ([`replay_fleetlog`]).
 //!
 //! The exactly-once trick is the `intent` record: it is written *before*
 //! the submit RPC leaves the coordinator. A crash between the RPC and
@@ -15,10 +17,7 @@
 //! instead of running a second copy.
 
 use corun_serve::json::{obj, Json};
-use corun_serve::Journal;
-use corun_verify::{Code, Diagnostic, Report, Severity};
-use std::io;
-use std::path::Path;
+use corun_serve::LineRecord;
 
 /// Fleetlog format revision, checked on recovery.
 pub const FLEETLOG_FORMAT_VERSION: u32 = 1;
@@ -96,9 +95,10 @@ pub enum FleetRecord {
     Recovered,
 }
 
-impl FleetRecord {
-    /// Render as one JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
+impl LineRecord for FleetRecord {
+    const FORMAT_VERSION: u32 = FLEETLOG_FORMAT_VERSION;
+
+    fn to_json(&self) -> String {
         let j = match self {
             FleetRecord::Meta {
                 version,
@@ -163,71 +163,40 @@ impl FleetRecord {
         j.render()
     }
 
-    /// Parse one line. `Ok(None)` skips an unknown-but-wellformed record
-    /// type (forward compatibility); `Err` is a malformed record.
-    pub fn from_json(line: &str) -> Result<Option<FleetRecord>, String> {
-        let j = Json::parse(line.trim()).map_err(|e| format!("invalid JSON: {e}"))?;
-        let Some(t) = j.get("t").and_then(Json::as_str) else {
-            return Err("missing string field `t`".into());
-        };
-        let id = || {
-            j.get("id")
-                .and_then(Json::as_index)
-                .ok_or_else(|| format!("`{t}` record missing numeric `id`"))
-        };
-        Ok(Some(match t {
+    fn from_json(line: &str) -> Result<Option<FleetRecord>, String> {
+        let j = Json::parse(line)?;
+        Ok(Some(match j.text("t")?.as_str() {
+            // A header without `v` reads as v0 and earns the version
+            // refusal rather than a parse error.
             "meta" => FleetRecord::Meta {
                 version: j.get("v").and_then(Json::as_index).unwrap_or(0) as u32,
-                shards: j
-                    .get("shards")
-                    .and_then(Json::as_index)
-                    .ok_or("`meta` record missing `shards`")?,
-                cluster_cap_w: j
-                    .get("cluster_cap_w")
-                    .and_then(Json::as_f64)
-                    .ok_or("`meta` record missing `cluster_cap_w`")?,
+                shards: j.idx("shards")?,
+                cluster_cap_w: j.num("cluster_cap_w")?,
             },
             "admit" => FleetRecord::Admit {
-                id: id()?,
-                key: j
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .ok_or("`admit` record missing `key`")?
-                    .to_string(),
-                spec: j
-                    .get("spec")
-                    .and_then(Json::as_str)
-                    .ok_or("`admit` record missing `spec`")?
-                    .to_string(),
+                id: j.idx("id")?,
+                key: j.text("key")?,
+                spec: j.text("spec")?,
             },
             "intent" => FleetRecord::Intent {
-                id: id()?,
-                shard: j
-                    .get("shard")
-                    .and_then(Json::as_index)
-                    .ok_or("`intent` record missing `shard`")?,
+                id: j.idx("id")?,
+                shard: j.idx("shard")?,
             },
             "confirm" => FleetRecord::Confirm {
-                id: id()?,
-                shard: j
-                    .get("shard")
-                    .and_then(Json::as_index)
-                    .ok_or("`confirm` record missing `shard`")?,
-                local_id: j
-                    .get("local")
-                    .and_then(Json::as_index)
-                    .ok_or("`confirm` record missing `local`")?,
+                id: j.idx("id")?,
+                shard: j.idx("shard")?,
+                local_id: j.idx("local")?,
             },
-            "abort" => FleetRecord::Abort { id: id()? },
-            "done" => FleetRecord::Done { id: id()? },
-            "dead" => FleetRecord::Dead { id: id()? },
-            "rejected" => FleetRecord::Rejected { id: id()? },
-            "requeue" => FleetRecord::Requeue { id: id()? },
+            "abort" => FleetRecord::Abort { id: j.idx("id")? },
+            "done" => FleetRecord::Done { id: j.idx("id")? },
+            "dead" => FleetRecord::Dead { id: j.idx("id")? },
+            "rejected" => FleetRecord::Rejected { id: j.idx("id")? },
+            "requeue" => FleetRecord::Requeue { id: j.idx("id")? },
             "caps" => FleetRecord::Caps {
                 caps_w: j
                     .get("caps_w")
                     .and_then(Json::as_arr)
-                    .ok_or("`caps` record missing `caps_w`")?
+                    .ok_or("record missing `caps_w`")?
                     .iter()
                     .map(|v| v.as_f64().ok_or("non-numeric cap"))
                     .collect::<Result<Vec<_>, _>>()?,
@@ -236,156 +205,13 @@ impl FleetRecord {
             _ => return Ok(None),
         }))
     }
-}
 
-/// The open fleetlog: [`Journal`]'s durable writer with the fleet's own
-/// record vocabulary.
-pub struct FleetLog {
-    journal: Journal,
-}
-
-impl FleetLog {
-    /// Create (truncate) a fresh log and write the `meta` header.
-    pub fn create(path: &Path, shards: usize, cluster_cap_w: f64) -> io::Result<FleetLog> {
-        let mut log = FleetLog {
-            journal: Journal::create_raw(path)?,
-        };
-        log.append(&FleetRecord::Meta {
-            version: FLEETLOG_FORMAT_VERSION,
-            shards,
-            cluster_cap_w,
-        })?;
-        Ok(log)
-    }
-
-    /// Reopen for appending after recovery; `seq` is the record count
-    /// already in the file.
-    pub fn open_append(path: &Path, seq: u64) -> io::Result<FleetLog> {
-        Ok(FleetLog {
-            journal: Journal::open_append(path, seq)?,
-        })
-    }
-
-    /// Durably append one record (write + flush + `sync_data`).
-    pub fn append(&mut self, record: &FleetRecord) -> io::Result<()> {
-        self.journal.append_line(&record.to_json())
-    }
-
-    /// Records written so far.
-    pub fn seq(&self) -> u64 {
-        self.journal.seq()
-    }
-}
-
-/// What a scan of the log on disk found.
-#[derive(Debug, Default)]
-pub struct FleetScan {
-    /// Every parsed record, in order. A torn final line (the crash
-    /// write) is tolerated and excluded.
-    pub records: Vec<FleetRecord>,
-    /// `FLT009` findings. Errors abandon recovery; the torn-tail case is
-    /// a warning.
-    pub report: Report,
-    /// Byte length of the valid prefix (through the last good line).
-    /// [`repair_fleetlog_tail`] truncates the file to this before the
-    /// log is reopened for appends.
-    pub valid_len: u64,
-    /// The last good line is missing its terminating newline (the crash
-    /// cut the write after the payload): appending without repair would
-    /// concatenate the next record onto it.
-    pub needs_newline: bool,
-}
-
-/// Read and parse the log. A malformed *final* line is a torn crash
-/// write (warning, dropped); a malformed line with records after it
-/// means real corruption (error — recovery must not guess).
-pub fn scan_fleetlog(path: &Path) -> FleetScan {
-    let mut scan = FleetScan::default();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            scan.report.push(
-                Diagnostic::new(
-                    Code::Flt009,
-                    path.display().to_string(),
-                    format!("cannot read fleet journal: {e}"),
-                )
-                .with_severity(Severity::Error),
-            );
-            return scan;
-        }
-    };
-    let mut pos: u64 = 0;
-    let mut line_no = 0usize;
-    let mut chunks = text.split_inclusive('\n').peekable();
-    while let Some(chunk) = chunks.next() {
-        pos += chunk.len() as u64;
-        let is_last = chunks.peek().is_none();
-        let has_newline = chunk.ends_with('\n');
-        let line = chunk.trim_end_matches(['\n', '\r']);
-        if line.trim().is_empty() {
-            if has_newline {
-                scan.valid_len = pos;
-            }
-            continue;
-        }
-        line_no += 1;
-        match FleetRecord::from_json(line) {
-            Ok(rec) => {
-                if let Some(rec) = rec {
-                    scan.records.push(rec);
-                }
-                // Unknown record types advance the valid prefix too:
-                // they are well-formed lines from a newer writer.
-                scan.valid_len = pos;
-                scan.needs_newline = !has_newline;
-            }
-            Err(e) if is_last => {
-                scan.report.push(
-                    Diagnostic::new(
-                        Code::Flt009,
-                        format!("{}:{line_no}", path.display()),
-                        format!("torn final record dropped: {e}"),
-                    )
-                    .with_severity(Severity::Warning),
-                );
-            }
-            Err(e) => {
-                scan.report.push(
-                    Diagnostic::new(
-                        Code::Flt009,
-                        format!("{}:{line_no}", path.display()),
-                        format!("corrupt fleet journal record: {e}"),
-                    )
-                    .with_severity(Severity::Error),
-                );
-                return scan;
-            }
+    fn header_version(&self) -> Option<u32> {
+        match self {
+            FleetRecord::Meta { version, .. } => Some(*version),
+            _ => None,
         }
     }
-    scan
-}
-
-/// Truncate a torn tail off the log (and restore a missing final
-/// newline) so the file ends exactly at a record boundary before it is
-/// reopened for appends. Returns whether the file was modified.
-pub fn repair_fleetlog_tail(path: &Path, scan: &FleetScan) -> io::Result<bool> {
-    use std::io::Write as _;
-    let mut changed = false;
-    let len = std::fs::metadata(path)?.len();
-    if len > scan.valid_len {
-        let f = std::fs::OpenOptions::new().write(true).open(path)?;
-        f.set_len(scan.valid_len)?;
-        f.sync_data()?;
-        changed = true;
-    }
-    if scan.needs_newline {
-        let mut f = std::fs::OpenOptions::new().append(true).open(path)?;
-        f.write_all(b"\n")?;
-        f.sync_data()?;
-        changed = true;
-    }
-    Ok(changed)
 }
 
 /// Where recovery concluded one fleet job stands.
@@ -442,29 +268,23 @@ pub struct RecoveredFleet {
     pub recoveries: usize,
 }
 
-/// Fold records into final per-job state. Later records win; any
-/// reference to an unknown id or an out-of-order transition is an error
-/// (the log is append-only and single-writer, so these only appear under
-/// corruption).
+/// Fold scanned records into final per-job state. The scan
+/// ([`corun_serve::wal::scan`]) has already checked the `meta` header and
+/// its version. Later records win; any reference to an unknown id or an
+/// out-of-order transition is an error (the log is append-only and
+/// single-writer, so these only appear under corruption).
 pub fn replay_fleetlog(records: &[FleetRecord]) -> Result<RecoveredFleet, String> {
     let mut out = RecoveredFleet::default();
-    let mut seen_meta = false;
     for (i, rec) in records.iter().enumerate() {
         let at = |msg: String| format!("record {}: {msg}", i + 1);
         match rec {
             FleetRecord::Meta {
-                version,
                 shards,
                 cluster_cap_w,
+                ..
             } => {
-                if *version != FLEETLOG_FORMAT_VERSION {
-                    return Err(at(format!(
-                        "fleetlog format v{version}, this build reads v{FLEETLOG_FORMAT_VERSION}"
-                    )));
-                }
                 out.shards = *shards;
                 out.cluster_cap_w = *cluster_cap_w;
-                seen_meta = true;
             }
             FleetRecord::Admit { id, key, spec } => {
                 if *id != out.jobs.len() {
@@ -549,26 +369,12 @@ pub fn replay_fleetlog(records: &[FleetRecord]) -> Result<RecoveredFleet, String
             FleetRecord::Recovered => out.recoveries += 1,
         }
     }
-    if !seen_meta {
-        return Err("fleet journal has no meta record".into());
-    }
     Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    fn temp_log(tag: &str) -> PathBuf {
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let n = SEQ.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!(
-            "corun-fleetlog-{}-{tag}-{n}.jsonl",
-            std::process::id()
-        ))
-    }
 
     fn sample_records() -> Vec<FleetRecord> {
         vec![
@@ -620,68 +426,5 @@ mod tests {
         assert_eq!(rec.jobs[0].submits, 1);
         assert_eq!(rec.jobs[1].loc, RecoveredLoc::InDoubt(1));
         assert_eq!(rec.caps_w, Some(vec![20.0, 20.0]));
-    }
-
-    #[test]
-    fn scan_tolerates_torn_tail_but_not_mid_file_corruption() {
-        let path = temp_log("tail");
-        {
-            let mut log = FleetLog::create(&path, 2, 40.0).expect("create");
-            log.append(&FleetRecord::Admit {
-                id: 0,
-                key: "k#0".into(),
-                spec: "srad x0.05\n".into(),
-            })
-            .expect("append");
-        }
-        // Simulate a crash mid-write: a torn, unterminated fragment.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&path)
-                .expect("open");
-            f.write_all(b"{\"t\":\"intent\",\"id\":0,\"sh")
-                .expect("tear");
-        }
-        let scan = scan_fleetlog(&path);
-        assert_eq!(scan.records.len(), 2, "meta + admit survive");
-        assert!(!scan.report.has_errors(), "torn tail is only a warning");
-        assert_eq!(scan.report.len(), 1);
-
-        // Repair truncates the fragment; appends land clean after it.
-        assert!(repair_fleetlog_tail(&path, &scan).expect("repair"));
-        {
-            let mut log = FleetLog::open_append(&path, scan.records.len() as u64).expect("reopen");
-            log.append(&FleetRecord::Recovered).expect("append");
-        }
-        let rescan = scan_fleetlog(&path);
-        assert!(rescan.report.is_empty(), "repaired log scans clean");
-        assert_eq!(rescan.records.len(), 3);
-
-        // Corruption *before* valid records is a hard error.
-        std::fs::write(&path, "not json at all\n{\"t\":\"recovered\"}\n").expect("write");
-        let scan = scan_fleetlog(&path);
-        assert!(scan.report.has_errors());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn durable_writer_survives_reopen() {
-        let path = temp_log("reopen");
-        {
-            let mut log = FleetLog::create(&path, 1, 10.0).expect("create");
-            log.append(&FleetRecord::Recovered).expect("append");
-            assert_eq!(log.seq(), 2);
-        }
-        let scan = scan_fleetlog(&path);
-        assert_eq!(scan.records.len(), 2);
-        {
-            let mut log = FleetLog::open_append(&path, scan.records.len() as u64).expect("reopen");
-            log.append(&FleetRecord::Recovered).expect("append");
-            assert_eq!(log.seq(), 3);
-        }
-        assert_eq!(scan_fleetlog(&path).records.len(), 3);
-        std::fs::remove_file(&path).ok();
     }
 }

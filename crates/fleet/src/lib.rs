@@ -34,7 +34,10 @@
 //!   journal (admit / intent / confirm / terminal / caps records) lets
 //!   [`Fleet::recover`] rebuild the books after a coordinator `kill -9`:
 //!   intent-without-confirm jobs come back pinned in doubt and are
-//!   settled by keyed resubmission, never double-dispatched.
+//!   settled by keyed resubmission, never double-dispatched. The
+//!   fleetlog is a [`FleetRecord`] vocabulary over the daemon journal's
+//!   own write-ahead log ([`corun_serve::wal`]), so both logs share one
+//!   writer, one scan and one torn-tail rule.
 //!
 //! Shards run in-process ([`LocalShard`], see [`start_local_shards`]) or
 //! as remote `corun serve` daemons over the line-JSON protocol
@@ -50,8 +53,8 @@ pub mod shard;
 
 pub use coordinator::{Circuit, Fleet, FleetConfig, FleetMetrics, PlacementKind};
 pub use fleetlog::{
-    repair_fleetlog_tail, replay_fleetlog, scan_fleetlog, FleetLog, FleetRecord, FleetScan,
-    RecoveredFleet, RecoveredFleetJob, RecoveredLoc, FLEETLOG_FORMAT_VERSION,
+    replay_fleetlog, FleetRecord, RecoveredFleet, RecoveredFleetJob, RecoveredLoc,
+    FLEETLOG_FORMAT_VERSION,
 };
 pub use net::{
     lint_netchaos, over_local, NetConfig, NetError, NetFaultPlan, Partition, RawTransport,

@@ -5,11 +5,15 @@
 //! The journal is the daemon's write-ahead record: each record is one
 //! JSON object on one line, flushed and `sync_data`'d before the state
 //! change it describes becomes observable to clients. A daemon killed at
-//! any byte can therefore be restarted with `--recover`: [`read_journal`]
-//! tolerates a torn final line (the kill landed mid-write) and
-//! [`replay`] folds the surviving prefix into one [`Disposition`] per
-//! job — done work stays done, in-flight work is re-queued, and nothing
-//! is double-dispatched.
+//! any byte can therefore be restarted with `--recover`: [`scan_journal`]
+//! drops a torn final line (the kill landed mid-write) and [`replay`]
+//! folds the surviving prefix into one [`Disposition`] per job — done
+//! work stays done, in-flight work is re-queued, and nothing is
+//! double-dispatched.
+//!
+//! This module is the journal's record vocabulary ([`Record`]) plus its
+//! causality and replay rules; the durable writer, the scan and the tail
+//! repair are the shared write-ahead log in [`crate::wal`].
 //!
 //! The format is versioned by [`JOURNAL_FORMAT_VERSION`], the sibling of
 //! `runtime::CACHE_FORMAT_VERSION`: bump it whenever a record's schema
@@ -18,11 +22,10 @@
 //! recovery semantics.
 
 use crate::json::{obj, Json};
+use crate::wal::{self, LineRecord, Scan};
 use apu_sim::Device;
 use corun_verify::{Code, Diagnostic, Report};
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Journal schema revision; mismatches are refused at recovery with
 /// SRV007. Versioned alongside `runtime::CACHE_FORMAT_VERSION`.
@@ -158,9 +161,10 @@ fn parse_device(s: &str) -> Option<Device> {
     }
 }
 
-impl Record {
-    /// Render as one compact JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
+impl LineRecord for Record {
+    const FORMAT_VERSION: u32 = JOURNAL_FORMAT_VERSION;
+
+    fn to_json(&self) -> String {
         let v = match self {
             Record::Meta { version, machines } => obj(vec![
                 ("t", Json::Str("meta".into())),
@@ -262,189 +266,83 @@ impl Record {
         v.render()
     }
 
-    /// Parse one journal line. `Ok(None)` means the record type is
-    /// unknown (written by a newer minor revision) and should be skipped.
-    pub fn from_json(line: &str) -> Result<Option<Record>, String> {
+    fn from_json(line: &str) -> Result<Option<Record>, String> {
         let v = Json::parse(line)?;
-        let t = v
-            .get("t")
-            .and_then(Json::as_str)
-            .ok_or("record missing `t`")?;
-        let idx = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_index)
-                .ok_or_else(|| format!("record missing `{key}`"))
-        };
-        let num = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("record missing `{key}`"))
-        };
-        let text = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("record missing `{key}`"))
-        };
+        let t = v.text("t")?;
         let dev = || {
-            text("device").and_then(|s| parse_device(&s).ok_or_else(|| format!("bad device `{s}`")))
+            v.text("device")
+                .and_then(|s| parse_device(&s).ok_or_else(|| format!("bad device `{s}`")))
         };
-        let rec = match t {
+        let rec = match t.as_str() {
             // `machines` arrived in v2; default it so a v1 header still
             // parses far enough to earn the version-mismatch diagnostic
             // instead of a torn-tail one.
             "meta" => Record::Meta {
-                version: idx("version")? as u32,
+                version: v.idx("version")? as u32,
                 machines: v.get("machines").and_then(Json::as_index).unwrap_or(1),
             },
             "recovered" => Record::Recovered {
-                jobs: idx("jobs")?,
+                jobs: v.idx("jobs")?,
                 machines: v.get("machines").and_then(Json::as_index).unwrap_or(1),
             },
             "accept" => Record::Accept {
-                id: idx("id")?,
-                name: text("name")?,
-                program: text("program")?,
-                scale: num("scale")?,
+                id: v.idx("id")?,
+                name: v.text("name")?,
+                program: v.text("program")?,
+                scale: v.num("scale")?,
             },
-            "reject" => Record::Reject { id: idx("id")? },
+            "reject" => Record::Reject { id: v.idx("id")? },
             "dispatch" => Record::Dispatch {
-                id: idx("id")?,
-                machine: idx("machine")?,
+                id: v.idx("id")?,
+                machine: v.idx("machine")?,
                 device: dev()?,
-                start_s: num("start_s")?,
-                predicted_s: num("predicted_s")?,
-                attempt: idx("attempt")? as u32,
+                start_s: v.num("start_s")?,
+                predicted_s: v.num("predicted_s")?,
+                attempt: v.idx("attempt")? as u32,
             },
             "done" => Record::Done {
-                id: idx("id")?,
-                machine: idx("machine")?,
+                id: v.idx("id")?,
+                machine: v.idx("machine")?,
                 device: dev()?,
-                start_s: num("start_s")?,
-                end_s: num("end_s")?,
-                predicted_s: num("predicted_s")?,
+                start_s: v.num("start_s")?,
+                end_s: v.num("end_s")?,
+                predicted_s: v.num("predicted_s")?,
             },
             "requeue" => Record::Requeue {
-                id: idx("id")?,
-                attempt: idx("attempt")? as u32,
-                backoff_s: num("backoff_s")?,
-                reason: text("reason")?,
+                id: v.idx("id")?,
+                attempt: v.idx("attempt")? as u32,
+                backoff_s: v.num("backoff_s")?,
+                reason: v.text("reason")?,
             },
             "dead" => Record::Dead {
-                id: idx("id")?,
-                reason: text("reason")?,
+                id: v.idx("id")?,
+                reason: v.text("reason")?,
             },
             "evict" => Record::Evict {
-                machine: idx("machine")?,
-                at_s: num("at_s")?,
+                machine: v.idx("machine")?,
+                at_s: v.num("at_s")?,
             },
             "cap" => Record::CapChange {
-                cap_w: num("cap_w")?,
+                cap_w: v.num("cap_w")?,
             },
             "shutdown" => Record::ShutdownBegin,
             "snapshot" => Record::Snapshot {
-                seq: idx("seq")? as u64,
-                fingerprint: text("fp").and_then(|s| {
+                seq: v.idx("seq")? as u64,
+                fingerprint: v.text("fp").and_then(|s| {
                     u64::from_str_radix(&s, 16).map_err(|e| format!("bad fingerprint `{s}`: {e}"))
                 })?,
-                state: text("state")?,
+                state: v.text("state")?,
             },
             _ => return Ok(None),
         };
         Ok(Some(rec))
     }
-}
 
-/// An open journal file. Every [`Journal::append`] flushes and
-/// `sync_data`s before returning, so a record the caller has seen
-/// committed survives `kill -9`.
-pub struct Journal {
-    file: File,
-    path: PathBuf,
-    seq: u64,
-}
-
-impl Journal {
-    /// Create (truncate) a fresh journal and write the `Meta` header.
-    pub fn create(path: &Path, machines: usize) -> std::io::Result<Journal> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        let mut j = Journal {
-            file,
-            path: path.to_path_buf(),
-            seq: 0,
-        };
-        j.append(&Record::Meta {
-            version: JOURNAL_FORMAT_VERSION,
-            machines,
-        })?;
-        Ok(j)
-    }
-
-    /// Create (truncate) a fresh journal without writing the service
-    /// `Meta` header. For callers that own their own record vocabulary
-    /// (the fleet coordinator log) but want the same durable writer.
-    pub fn create_raw(path: &Path) -> std::io::Result<Journal> {
-        let file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(path)?;
-        Ok(Journal {
-            file,
-            path: path.to_path_buf(),
-            seq: 0,
-        })
-    }
-
-    /// Open an existing journal for appending (after a successful
-    /// recovery replay). `seq` is the number of records already in the
-    /// file, so snapshot sequence numbers stay contiguous across
-    /// restarts.
-    pub fn open_append(path: &Path, seq: u64) -> std::io::Result<Journal> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Journal {
-            file,
-            path: path.to_path_buf(),
-            seq,
-        })
-    }
-
-    /// Durably append one record: write the line, flush, `sync_data`.
-    pub fn append(&mut self, record: &Record) -> std::io::Result<()> {
-        let mut line = record.to_json();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()?;
-        self.seq += 1;
-        Ok(())
-    }
-
-    /// Durably append one pre-rendered line (no trailing newline):
-    /// same write/flush/`sync_data` discipline as [`Journal::append`],
-    /// for callers with their own record vocabulary.
-    pub fn append_line(&mut self, line: &str) -> std::io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.flush()?;
-        self.file.sync_data()?;
-        self.seq += 1;
-        Ok(())
-    }
-
-    /// Records written to the file so far (the journal index the next
-    /// record will take).
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    fn header_version(&self) -> Option<u32> {
+        match self {
+            Record::Meta { version, .. } => Some(*version),
+            _ => None,
+        }
     }
 }
 
@@ -498,182 +396,18 @@ pub struct Recovered {
     pub jobs: Vec<RecoveredJob>,
 }
 
-/// Read a journal file into records, tolerantly.
-///
-/// Problems surface as SRV007 diagnostics in the returned report rather
-/// than hard errors: an unreadable file or a bad/missing version header
-/// yields no records (error severity — the journal cannot be trusted); a
-/// line that fails to parse ends the usable prefix (warning — the tail
-/// was torn by a kill mid-write, everything before it is intact).
-///
-/// Records that parse are then run through [`check_causality`]: a
-/// journal whose records are individually valid but causally impossible
-/// (e.g. `done` before `dispatch`) earns error-severity SRV010
-/// diagnostics, and recovery abandons it rather than replaying a
-/// fabricated history.
-pub fn read_journal(path: &Path) -> (Vec<Record>, Report) {
-    let scan = scan_journal(path);
-    (scan.records, scan.report)
-}
-
-/// Everything [`scan_journal`] learned about a journal file, including
-/// the byte geometry recovery needs to repair a torn tail.
-#[derive(Debug)]
-pub struct JournalScan {
-    /// The records of the intact prefix (after the version gate).
-    pub records: Vec<Record>,
-    /// SRV007/SRV010 diagnostics; `has_errors()` means the journal must
-    /// be abandoned.
-    pub report: Report,
-    /// Byte length of the intact prefix: every complete, parseable line
-    /// lies below this offset.
-    pub valid_len: u64,
-    /// Byte offset of the first corrupt record, if the scan hit one.
-    pub torn_at: Option<u64>,
-    /// The last intact record was not newline-terminated (the kill
-    /// landed between the payload and the `\n`); [`repair_tail`]
-    /// restores the terminator so appends start on a fresh line.
-    pub needs_newline: bool,
-}
-
-/// Scan a journal file byte-accurately: parse the intact prefix, locate
-/// the first corrupt record (if any) by byte offset, and run the header
-/// and causality gates. [`read_journal`] is the records-and-report view
-/// of this; recovery uses the full scan to [`repair_tail`] before
-/// reopening the file for appends.
-pub fn scan_journal(path: &Path) -> JournalScan {
-    let mut report = Report::new();
-    let loc = path.display().to_string();
-    let mut scan = JournalScan {
-        records: Vec::new(),
-        report: Report::new(),
-        valid_len: 0,
-        torn_at: None,
-        needs_newline: false,
-    };
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) => {
-            report.push(Diagnostic::new(
-                Code::Srv007,
-                loc,
-                format!("cannot read journal: {e}"),
-            ));
-            scan.report = report;
-            return scan;
-        }
-    };
-    let mut reader = BufReader::new(file);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut offset: u64 = 0;
-    let mut lineno: usize = 0;
-    let torn = |report: &mut Report, lineno: usize, offset: u64, why: &str| {
-        report.push(
-            Diagnostic::new(
-                Code::Srv007,
-                format!("{loc}:{}", lineno + 1),
-                format!("torn journal tail: {why} (first corrupt record at byte {offset})"),
-            )
-            .with_help("the daemon was killed mid-write; the intact prefix is recovered"),
-        );
-    };
-    loop {
-        buf.clear();
-        let n = match reader.read_until(b'\n', &mut buf) {
-            Ok(0) => break,
-            Ok(n) => n,
-            Err(e) => {
-                scan.torn_at = Some(offset);
-                torn(&mut report, lineno, offset, &e.to_string());
-                break;
-            }
-        };
-        let line_start = offset;
-        offset += n as u64;
-        lineno += 1;
-        let terminated = buf.last() == Some(&b'\n');
-        let line = String::from_utf8_lossy(&buf);
-        let line = line.trim();
-        if line.is_empty() {
-            if terminated {
-                scan.valid_len = offset;
-            }
-            continue;
-        }
-        match Record::from_json(line) {
-            Ok(Some(rec)) => {
-                scan.records.push(rec);
-                scan.valid_len = offset;
-                // An unterminated payload that still parses is durable;
-                // only the `\n` needs repair before appends resume.
-                scan.needs_newline = !terminated;
-            }
-            Ok(None) => {
-                report.push(Diagnostic::new(
-                    Code::Srv007,
-                    format!("{loc}:{lineno}"),
-                    "unknown record type; skipped".to_string(),
-                ));
-                scan.valid_len = offset;
-                scan.needs_newline = !terminated;
-            }
-            Err(e) => {
-                scan.torn_at = Some(line_start);
-                torn(&mut report, lineno - 1, line_start, &e);
-                break;
-            }
-        }
-    }
-    // The header gate: a missing or mismatched Meta invalidates the lot.
-    match scan.records.first() {
-        Some(Record::Meta { version, .. }) if *version == JOURNAL_FORMAT_VERSION => {}
-        Some(Record::Meta { version, .. }) => {
-            report.push(
-                Diagnostic::new(
-                    Code::Srv007,
-                    loc,
-                    format!(
-                        "journal format v{version} does not match this build (v{JOURNAL_FORMAT_VERSION})"
-                    ),
-                )
-                .with_severity(corun_verify::Severity::Error),
-            );
-            scan.records.clear();
-        }
-        _ => {
-            report.push(
-                Diagnostic::new(Code::Srv007, loc, "journal has no version header")
-                    .with_severity(corun_verify::Severity::Error),
-            );
-            scan.records.clear();
-        }
-    }
-    report.merge(check_causality(&scan.records));
-    scan.report = report;
+/// Scan a journal under the shared write-ahead-log rule
+/// ([`wal::scan`], SRV007): a torn final line is a warning, earlier
+/// corruption, an unreadable file or a bad header an error. Records that
+/// survive are then run through [`check_causality`]: a journal whose
+/// records are individually valid but causally impossible (e.g. `done`
+/// before `dispatch`) earns error-severity SRV010 diagnostics, and
+/// recovery abandons it rather than replaying a fabricated history.
+pub fn scan_journal(path: &Path) -> Scan<Record> {
+    let mut scan = wal::scan(path, Code::Srv007);
+    let causality = check_causality(&scan.records);
+    scan.report.merge(causality);
     scan
-}
-
-/// Truncate a torn tail off a journal so the file once again ends at a
-/// record boundary, and restore a missing final newline. Recovery calls
-/// this (with the scan it already has) before reopening the journal for
-/// appends — otherwise the first post-recovery record would concatenate
-/// onto the torn fragment and corrupt the file for the *next* recovery.
-/// Returns whether the file was modified.
-pub fn repair_tail(path: &Path, scan: &JournalScan) -> std::io::Result<bool> {
-    let mut changed = false;
-    if scan.torn_at.is_some() {
-        let f = OpenOptions::new().write(true).open(path)?;
-        f.set_len(scan.valid_len)?;
-        f.sync_data()?;
-        changed = true;
-    }
-    if scan.needs_newline {
-        let mut f = OpenOptions::new().append(true).open(path)?;
-        f.write_all(b"\n")?;
-        f.sync_data()?;
-        changed = true;
-    }
-    Ok(changed)
 }
 
 /// Check that a record sequence tells a causally possible story.
@@ -701,7 +435,7 @@ pub fn repair_tail(path: &Path, scan: &JournalScan) -> std::io::Result<bool> {
 /// A dispatch left open at the end of the journal is *not* a violation:
 /// that is exactly what a kill leaves behind, and every record-boundary
 /// prefix of a causal journal is itself causal. Violations are SRV010 at
-/// error severity, so [`read_journal`] callers that gate on
+/// error severity, so [`scan_journal`] callers that gate on
 /// `Report::has_errors` abandon the journal instead of replaying it.
 pub fn check_causality(records: &[Record]) -> Report {
     struct Track {
@@ -958,6 +692,8 @@ pub fn replay(records: &[Record]) -> (Recovered, Report) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::Journal;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_path(tag: &str) -> PathBuf {
@@ -967,6 +703,14 @@ mod tests {
             "corun-journal-test-{}-{tag}-{n}.jsonl",
             std::process::id()
         ))
+    }
+
+    fn create(path: &Path) -> Journal {
+        let meta = Record::Meta {
+            version: JOURNAL_FORMAT_VERSION,
+            machines: 1,
+        };
+        Journal::create(path, &meta).unwrap()
     }
 
     fn sample_records() -> Vec<Record> {
@@ -1054,12 +798,13 @@ mod tests {
     #[test]
     fn journal_write_read_replay() {
         let path = temp_path("roundtrip");
-        let mut j = Journal::create(&path, 1).unwrap();
+        let mut j = create(&path);
         for rec in sample_records() {
             j.append(&rec).unwrap();
         }
         drop(j);
-        let (records, report) = read_journal(&path);
+        let scan = scan_journal(&path);
+        let (records, report) = (scan.records, scan.report);
         assert!(report.is_empty(), "{}", report.render_human());
         assert_eq!(records.len(), 1 + sample_records().len());
         let (rec, replay_report) = replay(&records);
@@ -1074,7 +819,7 @@ mod tests {
     #[test]
     fn torn_tail_keeps_the_intact_prefix() {
         let path = temp_path("torn");
-        let mut j = Journal::create(&path, 1).unwrap();
+        let mut j = create(&path);
         for rec in sample_records() {
             j.append(&rec).unwrap();
         }
@@ -1092,81 +837,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_diagnostic_reports_the_byte_offset() {
-        let path = temp_path("torn-offset");
-        let mut j = Journal::create(&path, 1).unwrap();
-        for rec in sample_records() {
-            j.append(&rec).unwrap();
-        }
-        drop(j);
-        let bytes = std::fs::read(&path).unwrap();
-        // The corrupt record starts right after the last intact newline.
-        let cut = bytes.len() - 9;
-        let expect_at = bytes[..cut]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map(|p| p + 1)
-            .unwrap() as u64;
-        std::fs::write(&path, &bytes[..cut]).unwrap();
-        let scan = scan_journal(&path);
-        assert_eq!(scan.torn_at, Some(expect_at));
-        assert_eq!(scan.valid_len, expect_at);
-        let rendered = scan.report.render_human();
-        assert!(
-            rendered.contains(&format!("first corrupt record at byte {expect_at}")),
-            "diagnostic must name the byte offset: {rendered}"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn repair_tail_restores_a_record_boundary() {
-        let path = temp_path("repair");
-        let mut j = Journal::create(&path, 1).unwrap();
-        for rec in sample_records() {
-            j.append(&rec).unwrap();
-        }
-        drop(j);
-        let clean = std::fs::read(&path).unwrap();
-
-        // Torn mid-record: repair truncates the fragment, and appends
-        // resume on a clean boundary that a later scan fully reads.
-        std::fs::write(&path, &clean[..clean.len() - 9]).unwrap();
-        let scan = scan_journal(&path);
-        assert!(repair_tail(&path, &scan).unwrap());
-        let mut j = Journal::open_append(&path, scan.records.len() as u64).unwrap();
-        j.append(&Record::Recovered {
-            jobs: 2,
-            machines: 1,
-        })
-        .unwrap();
-        drop(j);
-        let rescan = scan_journal(&path);
-        assert!(rescan.torn_at.is_none());
-        assert!(
-            !rescan.report.has_errors(),
-            "{}",
-            rescan.report.render_human()
-        );
-        assert_eq!(rescan.records.len(), sample_records().len() + 1);
-        assert!(matches!(
-            rescan.records.last(),
-            Some(Record::Recovered { jobs: 2, .. })
-        ));
-
-        // Missing final newline only: the record is durable; repair
-        // restores the terminator without dropping it.
-        std::fs::write(&path, &clean[..clean.len() - 1]).unwrap();
-        let scan = scan_journal(&path);
-        assert!(scan.torn_at.is_none());
-        assert!(scan.needs_newline);
-        assert_eq!(scan.records.len(), 1 + sample_records().len());
-        assert!(repair_tail(&path, &scan).unwrap());
-        assert_eq!(std::fs::read(&path).unwrap(), clean);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn version_mismatch_refuses_the_journal() {
         let path = temp_path("version");
         std::fs::write(
@@ -1174,7 +844,8 @@ mod tests {
             "{\"t\":\"meta\",\"version\":99}\n{\"t\":\"reject\",\"id\":0}\n",
         )
         .unwrap();
-        let (records, report) = read_journal(&path);
+        let scan = scan_journal(&path);
+        let (records, report) = (scan.records, scan.report);
         assert!(records.is_empty());
         assert!(report.has(Code::Srv007));
         assert!(report.has_errors(), "a version mismatch is not recoverable");
@@ -1230,12 +901,12 @@ mod tests {
 
     #[test]
     fn done_before_dispatch_abandons_the_journal() {
-        // The ISSUE example: every record parses and replay would happily
+        // Every record parses and replay would happily
         // fold them, but the story is impossible — `done` precedes its
-        // `dispatch`. read_journal must flag it at error severity so
+        // `dispatch`. scan_journal must flag it at error severity so
         // recovery abandons the journal.
         let path = temp_path("causality");
-        let mut j = Journal::create(&path, 1).unwrap();
+        let mut j = create(&path);
         j.append(&Record::Accept {
             id: 0,
             name: "srad#0".into(),
@@ -1262,7 +933,7 @@ mod tests {
         })
         .unwrap();
         drop(j);
-        let (_, report) = read_journal(&path);
+        let report = scan_journal(&path).report;
         assert!(report.has(Code::Srv010), "{}", report.render_human());
         assert!(
             report.has_errors(),

@@ -122,6 +122,28 @@ impl Json {
             _ => None,
         }
     }
+
+    /// Required non-negative integer field of a record object.
+    pub fn idx(&self, key: &str) -> Result<usize, String> {
+        self.get(key)
+            .and_then(Json::as_index)
+            .ok_or_else(|| format!("record missing `{key}`"))
+    }
+
+    /// Required numeric field of a record object.
+    pub fn num(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Json::as_f64)
+            .ok_or_else(|| format!("record missing `{key}`"))
+    }
+
+    /// Required string field of a record object, owned.
+    pub fn text(&self, key: &str) -> Result<String, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("record missing `{key}`"))
+    }
 }
 
 /// Convenience constructor for object literals.

@@ -9,10 +9,13 @@
 //! Layers, bottom up:
 //!
 //! - [`json`] — a dependency-free JSON value type (parse + render).
-//! - [`journal`] — the crash-safe append-only journal: every admission,
-//!   dispatch, completion, requeue, dead-letter, and eviction is durably
-//!   logged, and [`journal::replay`] reconstructs the exact job table a
-//!   killed daemon left behind.
+//! - [`wal`] — the write-ahead line log under both durable logs (this
+//!   journal and the fleet coordinator's fleetlog): one fsync'd writer
+//!   ([`Journal`]), one scan with one torn-tail rule, one tail repair.
+//! - [`journal`] — the daemon journal's record vocabulary: every
+//!   admission, dispatch, completion, requeue, dead-letter, and eviction
+//!   is durably logged, and [`journal::replay`] reconstructs the exact
+//!   job table a killed daemon left behind.
 //! - [`state`] — the pure service state machine: admission, dispatch,
 //!   completion, retry/dead-letter, crash eviction, and recovery as
 //!   side-effect-free transition functions over [`ServiceState`], with
@@ -46,11 +49,12 @@ pub mod server;
 pub mod service;
 pub mod snapshot;
 pub mod state;
+pub mod wal;
 
 pub use client::{Client, RetryConfig};
 pub use journal::{
-    check_causality, read_journal, repair_tail, replay, scan_journal, Disposition, Journal,
-    JournalScan, Record, Recovered, RecoveredJob, JOURNAL_FORMAT_VERSION,
+    check_causality, replay, scan_journal, Disposition, Record, Recovered, RecoveredJob,
+    JOURNAL_FORMAT_VERSION,
 };
 pub use json::Json;
 pub use protocol::{handle_request, PROTOCOL_VERSION};
@@ -62,3 +66,4 @@ pub use state::{
     Counters, FailReport, JobCore, MachineCore, ServiceState, TransitionError, Violation,
     ViolationKind,
 };
+pub use wal::{repair_tail, Journal, LineRecord, Scan};

@@ -38,10 +38,11 @@
 //! killed at any byte resumes via `recover` with no lost and no
 //! double-dispatched jobs.
 
-use crate::journal::{repair_tail, replay, scan_journal, Journal, Record, Recovered};
+use crate::journal::{replay, scan_journal, Record, Recovered, JOURNAL_FORMAT_VERSION};
 use crate::ring::{MetricsPoint, MetricsRing};
 use crate::snapshot::encode_state;
 use crate::state::{FailReport, ServiceState};
+use crate::wal::{repair_tail, Journal};
 use apu_sim::{
     BiasedGovernor, Device, Dispatch, DispatchCtx, DispatchJob, Dispatcher, FaultKind, FaultPlan,
     Governor, JobSpec, MachineConfig, NullGovernor, RunOptions, Session, SessionState,
@@ -902,7 +903,11 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
             return;
         }
     }
-    match Journal::create(path, cfg.machines) {
+    let meta = Record::Meta {
+        version: JOURNAL_FORMAT_VERSION,
+        machines: cfg.machines,
+    };
+    match Journal::create(path, &meta) {
         Ok(j) => inner.journal = Some(j),
         Err(e) => inner.chaos_push(
             Diagnostic::new(

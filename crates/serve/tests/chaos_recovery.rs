@@ -7,7 +7,7 @@
 //! kill between fsyncs) and at arbitrary bytes (a torn tail mid-write).
 
 use corun_core::RetryPolicy;
-use corun_serve::journal::{read_journal, replay, Disposition};
+use corun_serve::journal::{replay, scan_journal, Disposition};
 use corun_serve::{JobState, Service, ServiceConfig};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -52,9 +52,9 @@ fn run_and_capture(path: &Path, spec: &str) -> Vec<u8> {
 /// journal already records as Done is ever dispatched again.
 fn recover_and_check(path: &Path) {
     // What does the truncated journal itself say?
-    let (records, report) = read_journal(path);
-    let (expected, replay_report) = replay(&records);
-    let wholesale_abandon = report.has_errors() || replay_report.has_errors();
+    let scan = scan_journal(path);
+    let (expected, replay_report) = replay(&scan.records);
+    let wholesale_abandon = scan.report.has_errors() || replay_report.has_errors();
 
     let svc = Service::start(journaled_cfg(path, true));
     if wholesale_abandon {
@@ -191,9 +191,9 @@ fn faulted_run_journals_every_outcome() {
     svc.shutdown();
     drop(svc);
 
-    let (records, report) = read_journal(&path);
-    assert!(!report.has_errors(), "{}", report.render_human());
-    let (recovered, replay_report) = replay(&records);
+    let scan = scan_journal(&path);
+    assert!(!scan.report.has_errors(), "{}", scan.report.render_human());
+    let (recovered, replay_report) = replay(&scan.records);
     assert!(
         !replay_report.has_errors(),
         "{}",
@@ -205,5 +205,39 @@ fn faulted_run_journals_every_outcome() {
     }
     // And the dead-letter verdicts survive a recovery restart.
     recover_and_check(&path);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn mid_file_corruption_abandons_recovery() {
+    // Only a torn *final* line is the write a kill interrupted. A bad
+    // line with fsync'd, acknowledged records after it is corruption:
+    // recovery must refuse the journal rather than truncate those
+    // records away with the "tail".
+    let path = temp_journal("midfile");
+    let bytes = run_and_capture(&path, "srad x0.05 *2\n");
+    let text = String::from_utf8(bytes).expect("utf-8 journal");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    assert!(lines.len() > 4, "{text}");
+    lines[2] = "{\"t\":\"dispatch\",\"id\":0,\"mach".into();
+    std::fs::write(&path, lines.join("\n") + "\n").expect("corrupt");
+
+    let scan = scan_journal(&path);
+    assert!(scan.report.has(corun_verify::Code::Srv007));
+    assert!(
+        scan.report.has_errors(),
+        "mid-file corruption must abandon the journal: {}",
+        scan.report.render_human()
+    );
+
+    let svc = Service::start(journaled_cfg(&path, true));
+    assert_eq!(svc.job_count(), 0, "no prefix may be restored");
+    let diags = svc.chaos_report();
+    assert!(
+        diags.errors().any(|d| d.code == corun_verify::Code::Srv007),
+        "{}",
+        diags.render_human()
+    );
+    svc.shutdown();
     std::fs::remove_file(&path).ok();
 }
