@@ -287,7 +287,28 @@ echo "$REPLAY_OUT" | grep -Eq 'verified [1-9][0-9]* snapshot' || {
     echo "FAIL: replay verified no snapshot checkpoints: $REPLAY_OUT" >&2
     exit 1
 }
-rm -f "$CHAOS_LOG" "$CHAOS_JOURNAL"
+
+# Snapshots are deltas. Flip the fingerprint of the last one: replay must
+# fail RPL001 there, and --diff folds every delta before it into the
+# recorded state — which must equal the replayed one, so no diff lines.
+TAMPERED=$(mktemp)
+LAST_SNAP=$(grep -n '^{"t":"snapshot"' "$CHAOS_JOURNAL" | tail -1 | cut -d: -f1)
+FP=$(sed -n "${LAST_SNAP}s/.*\"fp\":\"\([0-9a-f]*\)\".*/\1/p" "$CHAOS_JOURNAL")
+FLIPPED=$(printf '%016x' $((0x$FP ^ 1)))
+sed "${LAST_SNAP}s/\"fp\":\"$FP\"/\"fp\":\"$FLIPPED\"/" "$CHAOS_JOURNAL" >"$TAMPERED"
+if DIFF_OUT=$(timeout 60 $CORUN replay "$TAMPERED" --diff 2>&1); then
+    echo "FAIL: a flipped snapshot fingerprint replayed cleanly: $DIFF_OUT" >&2
+    exit 1
+fi
+echo "$DIFF_OUT" | grep -q 'RPL001' || {
+    echo "FAIL: flipped fingerprint did not raise RPL001: $DIFF_OUT" >&2
+    exit 1
+}
+if echo "$DIFF_OUT" | grep -Eq '^diff:|RPL004'; then
+    echo "FAIL: folded snapshot deltas differ from the replayed state: $DIFF_OUT" >&2
+    exit 1
+fi
+rm -f "$CHAOS_LOG" "$CHAOS_JOURNAL" "$TAMPERED"
 
 echo "== corun fleet: sharded smoke (4 daemons, 10k jobs, kill -9 + recover)"
 FLEET_DIR=$(mktemp -d)

@@ -1,22 +1,24 @@
 //! Replay-path throughput: how fast `corun replay` re-executes a
-//! journal, and what a snapshot checkpoint costs to decode.
+//! journal, and what snapshot checkpoints cost to decode.
 //!
 //! Replay is the post-mortem tool for production journals, so the
 //! figure that matters is events/sec through the pure state machine —
-//! it bounds how long "re-execute yesterday's run" takes. Snapshot
-//! decode time bounds the other lever: `--until` a nearby checkpoint
-//! instead of replaying from the start.
+//! it bounds how long "re-execute yesterday's run" takes. A clean replay
+//! decodes no snapshot; `--diff` after a failed checkpoint folds every
+//! delta before it, and a full snapshot decode is the upper bound of one
+//! fold step.
 
 use bench::trajectory::{self, Sample};
 use corun_core::RetryPolicy;
 use corun_replay::{replay_records, ReplayOptions};
-use corun_serve::{decode_state, encode_state, Record, ServiceState, JOURNAL_FORMAT_VERSION};
+use corun_serve::{apply_state, encode_state, Record, ServiceState, JOURNAL_FORMAT_VERSION};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// Build a realistic synthetic transcript: `jobs` jobs across 4
 /// machines, every 7th job failing once before completing (requeue +
-/// re-dispatch), with a snapshot checkpoint every 64 records — the mix
-/// a chaos-faulted production journal carries.
+/// re-dispatch), with a snapshot checkpoint every 64 records listing the
+/// jobs named since the previous one, as the daemon writes them — the
+/// mix a chaos-faulted production journal carries.
 fn synthetic_journal(jobs: usize) -> Vec<Record> {
     let retry = RetryPolicy {
         max_retries: 2,
@@ -30,9 +32,11 @@ fn synthetic_journal(jobs: usize) -> Vec<Record> {
         machines,
     }];
     let mut snapshot_due = 64;
+    let mut touched = Vec::new();
     for j in 0..jobs {
         let (id, rec) = st.accept(&format!("srad#{j}"), "srad", 0.1).unwrap();
         recs.push(rec);
+        touched.push(id);
         let m = j % machines;
         let device = if j % 2 == 0 {
             apu_sim::Device::Gpu
@@ -51,7 +55,7 @@ fn synthetic_journal(jobs: usize) -> Vec<Record> {
             recs.push(Record::Snapshot {
                 seq: recs.len() as u64,
                 fingerprint: st.fingerprint(),
-                state: encode_state(&st),
+                state: encode_state(&st, touched.drain(..)),
             });
             snapshot_due = recs.len() + 64;
         }
@@ -71,20 +75,27 @@ fn bench_replay(c: &mut Criterion) {
     });
 }
 
-/// Decode one snapshot checkpoint back into a `ServiceState` — the cost
-/// of starting replay from a checkpoint instead of record zero.
-fn bench_snapshot_decode(c: &mut Criterion) {
+/// Fold every snapshot checkpoint of a 2048-job journal from an empty
+/// state — what `--diff` pays to rebuild the recorded state at the last
+/// checkpoint.
+fn bench_snapshot_fold(c: &mut Criterion) {
     let recs = synthetic_journal(2048);
-    let encoded = recs
+    let deltas: Vec<&str> = recs
         .iter()
-        .rev()
-        .find_map(|r| match r {
-            Record::Snapshot { state, .. } => Some(state.clone()),
+        .filter_map(|r| match r {
+            Record::Snapshot { state, .. } => Some(state.as_str()),
             _ => None,
         })
-        .expect("synthetic journal has snapshots");
-    c.bench_function("replay_snapshot_decode", |b| {
-        b.iter(|| decode_state(&encoded).expect("snapshot decodes"));
+        .collect();
+    assert!(!deltas.is_empty(), "synthetic journal has snapshots");
+    c.bench_function("replay_snapshot_fold", |b| {
+        b.iter(|| {
+            let mut st = ServiceState::new(0);
+            for delta in &deltas {
+                apply_state(&mut st, delta).expect("snapshot folds");
+            }
+            st
+        });
     });
 }
 
@@ -103,11 +114,12 @@ fn bench_trajectory(c: &mut Criterion) {
     }
     let replay_s = t0.elapsed().as_secs_f64();
 
-    let encoded = encode_state(&replay_records(&recs, &ReplayOptions::default()).state);
+    let state = replay_records(&recs, &ReplayOptions::default()).state;
+    let encoded = encode_state(&state, 0..state.jobs.len());
     let decodes = 200;
     let t0 = std::time::Instant::now();
     for _ in 0..decodes {
-        decode_state(&encoded).expect("snapshot decodes");
+        apply_state(&mut ServiceState::new(0), &encoded).expect("snapshot decodes");
     }
     let decode_s = t0.elapsed().as_secs_f64();
 
@@ -131,10 +143,5 @@ fn bench_trajectory(c: &mut Criterion) {
     println!("wrote {}", path.display());
 }
 
-criterion_group!(
-    benches,
-    bench_replay,
-    bench_snapshot_decode,
-    bench_trajectory
-);
+criterion_group!(benches, bench_replay, bench_snapshot_fold, bench_trajectory);
 criterion_main!(benches);

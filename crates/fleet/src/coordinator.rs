@@ -992,10 +992,16 @@ impl Fleet {
             }
             self.force_sweep[s] = false;
             let locals: Vec<usize> = self.outstanding[s].keys().copied().collect();
+            let mut swept = true;
             for local in locals {
                 let Ok(phase) = self.shards[s].job_phase(local) else {
                     self.view.alive[s] = false;
                     self.breaker_trip(s);
+                    // The jobs this sweep never reached may already be
+                    // terminal, and the count will not move for them:
+                    // sweep again next round instead of recording it.
+                    self.force_sweep[s] = true;
+                    swept = false;
                     break;
                 };
                 let id = self.outstanding[s][&local];
@@ -1034,7 +1040,9 @@ impl Fleet {
                     }
                 }
             }
-            self.folded_terminal[s] = terminal;
+            if swept {
+                self.folded_terminal[s] = terminal;
+            }
         }
         folded
     }

@@ -17,14 +17,20 @@
 //! - [`replay_journal`] / [`replay_records`] re-run a transcript,
 //!   verifying every embedded `Snapshot` checkpoint on the way
 //!   (`RPL001`), and report any divergence between a record and the
-//!   transition it re-applies (`RPL003`) or an undecodable snapshot
-//!   (`RPL004`).
+//!   transition it re-applies (`RPL003`) or a snapshot that does not
+//!   decode or fold (`RPL004`).
 //! - [`check_terminal`] compares the replayed terminal fingerprint
 //!   against an external expectation — the live daemon's fingerprint,
 //!   or the journal's own terminal snapshot (`RPL002`).
 //! - [`diff_states`] renders a field-level diff for `corun replay
 //!   --diff`, so a divergence names the exact job, slot, or counter
 //!   that drifted instead of just two hashes.
+//!
+//! Snapshots are deltas (each lists only the jobs records named since
+//! the previous one), and a clean replay decodes none of them: the
+//! fingerprint is the whole check. Only when a checkpoint fails
+//! `RPL001` are that prefix's snapshots folded, in order from an empty
+//! state, into what the daemon recorded, for `--diff` to compare.
 //!
 //! Replay is pure: nothing here touches the simulation engine, the
 //! model, or any clock. That is what makes it fast (hundreds of
@@ -33,7 +39,7 @@
 //! for the event-sourcing contract the daemon upholds.
 
 use corun_core::RequeueOutcome;
-use corun_serve::{decode_state, replay as recover_replay, scan_journal, Record, ServiceState};
+use corun_serve::{apply_state, replay as recover_replay, scan_journal, Record, ServiceState};
 use corun_verify::{Code, Diagnostic, Report};
 use std::path::Path;
 
@@ -226,20 +232,18 @@ fn apply(
             true
         }
         Record::Snapshot {
-            seq,
-            fingerprint,
-            state,
-        } => check_snapshot(out, k, *seq, *fingerprint, state, opts),
+            seq, fingerprint, ..
+        } => check_snapshot(out, records, k, *seq, *fingerprint, opts),
     }
 }
 
 /// Verify one `Snapshot` checkpoint against the re-executed state.
 fn check_snapshot(
     out: &mut ReplayOutcome,
+    records: &[Record],
     k: usize,
     seq: u64,
     fingerprint: u64,
-    encoded: &str,
     opts: &ReplayOptions,
 ) -> bool {
     if seq != k as u64 {
@@ -266,22 +270,35 @@ fn check_snapshot(
         )
         .with_help("the journal and the code disagree on a transition; see --diff"),
     );
-    match decode_state(encoded) {
+    match fold_snapshots(&records[..=k]) {
         Ok(recorded) => {
             if opts.diff {
                 let mut d = diff_states(&out.state, &recorded);
                 out.diffs.append(&mut d);
             }
         }
-        Err(e) => {
-            out.report.push(Diagnostic::new(
-                Code::Rpl004,
-                format!("record {k}"),
-                format!("embedded snapshot state does not decode: {e}"),
-            ));
-        }
+        Err(d) => out.report.push(d),
     }
     false
+}
+
+/// Fold the `Snapshot` records of `records`, in order from an empty
+/// state, into the state the last of them recorded. A snapshot that
+/// does not decode, or leaves a job it adds unlisted, is `RPL004`.
+fn fold_snapshots(records: &[Record]) -> Result<ServiceState, Diagnostic> {
+    let mut st = ServiceState::new(0);
+    for (j, rec) in records.iter().enumerate() {
+        if let Record::Snapshot { state, .. } = rec {
+            apply_state(&mut st, state).map_err(|e| {
+                Diagnostic::new(
+                    Code::Rpl004,
+                    format!("record {j}"),
+                    format!("embedded snapshot state does not fold: {e}"),
+                )
+            })?;
+        }
+    }
+    Ok(st)
 }
 
 /// Record a transition that re-applied to something other than what the
@@ -394,59 +411,96 @@ pub fn diff_states(replayed: &ServiceState, recorded: &ServiceState) -> Vec<Stri
 mod tests {
     use super::*;
     use apu_sim::Device;
+    use corun_core::JobId;
     use corun_core::RetryPolicy;
     use corun_serve::encode_state;
+
+    /// A journal written the daemon's way: every record marks the jobs
+    /// it names, and each snapshot lists only the jobs marked since the
+    /// previous one (a delta).
+    #[derive(Default)]
+    struct Transcript {
+        recs: Vec<Record>,
+        touched: Vec<JobId>,
+    }
+
+    impl Transcript {
+        fn push(&mut self, rec: Record) {
+            self.touched.extend(rec.touched_jobs());
+            self.recs.push(rec);
+        }
+
+        fn snapshot(&mut self, st: &ServiceState) {
+            let rec = Record::Snapshot {
+                seq: self.recs.len() as u64,
+                fingerprint: st.fingerprint(),
+                state: encode_state(st, self.touched.drain(..)),
+            };
+            self.recs.push(rec);
+        }
+    }
 
     /// Drive a live trajectory through the pure state machine, journal
     /// every emitted record, and sprinkle snapshots at quiescent points —
     /// exactly what the daemon does, minus the threads.
-    fn trajectory() -> (Vec<Record>, ServiceState) {
+    fn trajectory() -> (Transcript, ServiceState) {
         let retry = RetryPolicy {
             max_retries: 1,
             ..RetryPolicy::default()
         };
         let mut st = ServiceState::new(2);
-        let mut recs = vec![Record::Meta {
+        let mut t = Transcript::default();
+        t.push(Record::Meta {
             version: corun_serve::JOURNAL_FORMAT_VERSION,
             machines: 2,
-        }];
-        let snapshot = |st: &ServiceState, recs: &mut Vec<Record>| {
-            recs.push(Record::Snapshot {
-                seq: recs.len() as u64,
-                fingerprint: st.fingerprint(),
-                state: encode_state(st),
-            });
-        };
+        });
         for k in 0..4 {
             let (_, rec) = st.accept(&format!("srad#{k}"), "srad", 0.3).unwrap();
-            recs.push(rec);
+            t.push(rec);
         }
-        snapshot(&st, &mut recs);
-        recs.push(st.dispatch(0, 0, Device::Gpu, 0.0, 2.0).unwrap());
-        recs.push(st.dispatch(1, 1, Device::Cpu, 0.0, 3.0).unwrap());
-        recs.push(st.complete(0, 2.1).unwrap());
-        recs.push(Record::CapChange { cap_w: 12.5 });
+        t.snapshot(&st);
+        t.push(st.dispatch(0, 0, Device::Gpu, 0.0, 2.0).unwrap());
+        t.push(st.dispatch(1, 1, Device::Cpu, 0.0, 3.0).unwrap());
+        t.push(st.complete(0, 2.1).unwrap());
+        t.push(Record::CapChange { cap_w: 12.5 });
         let fail = st.fail(1, &retry, "injected job failure").unwrap();
-        recs.push(fail.record);
-        snapshot(&st, &mut recs);
-        recs.push(st.dispatch(1, 1, Device::Cpu, 4.0, 3.0).unwrap());
+        t.push(fail.record);
+        t.snapshot(&st); // a delta: jobs 0 and 1
+        t.push(st.dispatch(1, 1, Device::Cpu, 4.0, 3.0).unwrap());
         let fail = st.fail(1, &retry, "injected job failure").unwrap();
-        recs.push(fail.record); // dead-letters
-        recs.push(st.dispatch(2, 0, Device::Cpu, 3.0, 1.5).unwrap());
+        t.push(fail.record); // dead-letters
+        t.push(st.dispatch(2, 0, Device::Cpu, 3.0, 1.5).unwrap());
         let (evict, victims) = st.crash(0, 4.0, &retry, "machine crash").unwrap();
-        recs.push(evict);
+        t.push(evict);
         for v in victims {
-            recs.push(v.record);
+            t.push(v.record);
         }
         st.begin_shutdown();
-        recs.push(Record::ShutdownBegin);
-        snapshot(&st, &mut recs);
-        (recs, st)
+        t.push(Record::ShutdownBegin);
+        t.snapshot(&st);
+        (t, st)
+    }
+
+    fn with_diff() -> ReplayOptions {
+        ReplayOptions {
+            until: None,
+            diff: true,
+        }
+    }
+
+    /// Journal index of the `n`th snapshot.
+    fn nth_snapshot(recs: &[Record], n: usize) -> usize {
+        recs.iter()
+            .enumerate()
+            .filter(|(_, r)| matches!(r, Record::Snapshot { .. }))
+            .nth(n)
+            .expect("trajectory has the snapshot")
+            .0
     }
 
     #[test]
     fn replay_reproduces_a_trajectory_bit_identically() {
-        let (recs, live) = trajectory();
+        let (Transcript { recs, .. }, live) = trajectory();
         let mut outcome = replay_records(&recs, &ReplayOptions::default());
         assert!(outcome.is_clean(), "{}", outcome.report.render_human());
         assert_eq!(outcome.records_applied, recs.len());
@@ -466,7 +520,7 @@ mod tests {
     fn every_prefix_of_a_trajectory_replays_cleanly() {
         // kill -9 can truncate the journal after any record; every
         // prefix must still replay without divergence.
-        let (recs, _) = trajectory();
+        let (Transcript { recs, .. }, _) = trajectory();
         for n in 0..=recs.len() {
             let outcome = replay_records(&recs[..n], &ReplayOptions::default());
             assert!(
@@ -480,7 +534,7 @@ mod tests {
 
     #[test]
     fn until_stops_early() {
-        let (recs, _) = trajectory();
+        let (Transcript { recs, .. }, _) = trajectory();
         let outcome = replay_records(
             &recs,
             &ReplayOptions {
@@ -495,7 +549,7 @@ mod tests {
 
     #[test]
     fn a_tampered_record_is_a_detected_divergence() {
-        let (mut recs, _) = trajectory();
+        let (Transcript { mut recs, .. }, _) = trajectory();
         // Flip the first dispatch's device: the journal now disagrees
         // with what re-execution produces at the next snapshot (and the
         // record-level check catches it immediately).
@@ -510,32 +564,69 @@ mod tests {
 
     #[test]
     fn a_corrupt_snapshot_fingerprint_fails_rpl001_with_diff() {
-        let (mut recs, _) = trajectory();
-        let snap_at = recs
-            .iter()
-            .position(|r| matches!(r, Record::Snapshot { .. }))
-            .unwrap();
+        let (Transcript { mut recs, .. }, _) = trajectory();
+        // The last snapshot is a delta: only folding every snapshot
+        // before it rebuilds the whole recorded state.
+        let snap_at = nth_snapshot(&recs, 2);
         let Record::Snapshot { fingerprint, .. } = &mut recs[snap_at] else {
             unreachable!()
         };
         *fingerprint ^= 1;
-        let outcome = replay_records(
-            &recs,
-            &ReplayOptions {
-                until: None,
-                diff: true,
-            },
-        );
+        let outcome = replay_records(&recs, &with_diff());
         assert!(outcome.report.has(Code::Rpl001));
-        // The embedded state still matches the replayed one, so the
-        // diff comes out empty — the fingerprint field itself lied.
-        assert!(outcome.diffs.is_empty());
+        assert!(!outcome.report.has(Code::Rpl004));
+        // The folded deltas still match the replayed state, so the diff
+        // comes out empty — the fingerprint field itself lied.
+        assert!(outcome.diffs.is_empty(), "{:?}", outcome.diffs);
         assert_eq!(outcome.records_applied, snap_at);
     }
 
     #[test]
+    fn a_tampered_job_in_a_delta_is_named_by_the_diff() {
+        let (Transcript { mut recs, .. }, _) = trajectory();
+        let at = nth_snapshot(&recs, 1);
+        let mut recorded = replay_records(&recs[..at], &ReplayOptions::default()).state;
+        recorded.jobs[1].retries += 5;
+        let Record::Snapshot {
+            fingerprint, state, ..
+        } = &mut recs[at]
+        else {
+            unreachable!()
+        };
+        *state = encode_state(&recorded, [0, 1]);
+        *fingerprint = recorded.fingerprint();
+        let outcome = replay_records(&recs, &with_diff());
+        assert!(outcome.report.has(Code::Rpl001));
+        assert_eq!(outcome.diffs.len(), 1, "{:?}", outcome.diffs);
+        assert!(
+            outcome.diffs[0].starts_with("job 1:"),
+            "{:?}",
+            outcome.diffs
+        );
+    }
+
+    #[test]
+    fn a_delta_leaving_a_new_job_unlisted_is_rpl004() {
+        let (Transcript { mut recs, .. }, _) = trajectory();
+        let at = nth_snapshot(&recs, 0);
+        let replayed = replay_records(&recs[..at], &ReplayOptions::default()).state;
+        let Record::Snapshot {
+            fingerprint, state, ..
+        } = &mut recs[at]
+        else {
+            unreachable!()
+        };
+        *state = encode_state(&replayed, [0, 1, 3]); // job 2 is new
+        *fingerprint ^= 1;
+        let outcome = replay_records(&recs, &with_diff());
+        assert!(outcome.report.has(Code::Rpl001));
+        assert!(outcome.report.has(Code::Rpl004));
+        assert!(outcome.diffs.is_empty());
+    }
+
+    #[test]
     fn terminal_mismatch_is_rpl002() {
-        let (recs, live) = trajectory();
+        let (Transcript { recs, .. }, live) = trajectory();
         let mut outcome = replay_records(&recs, &ReplayOptions::default());
         assert!(!check_terminal(
             &mut outcome,
@@ -549,33 +640,28 @@ mod tests {
     fn recovery_boundaries_replay_through() {
         // Build: run, then a Recovered boundary (as a restart writes),
         // then more work. Replay must restore across the boundary.
-        let (mut recs, _) = trajectory();
+        let (mut t, _) = trajectory();
         // Simulate what open_journal does on restart: replay, restore,
-        // append Recovered, continue with a fresh incarnation.
-        let (recovered, _) = recover_replay(&recs);
+        // append Recovered (which marks every job, so the snapshot after
+        // it is full), continue with a fresh incarnation.
+        let (recovered, _) = recover_replay(&t.recs);
         let mut st = ServiceState::restore_from(&recovered, 2);
-        recs.push(Record::Recovered {
+        t.push(Record::Recovered {
             jobs: st.jobs.len(),
             machines: 2,
         });
-        recs.push(Record::Snapshot {
-            seq: recs.len() as u64,
-            fingerprint: st.fingerprint(),
-            state: encode_state(&st),
-        });
+        t.snapshot(&st);
         // The recovered queue holds the evicted job; drain it.
         if let Some(&next) = st.queue.front() {
-            recs.push(st.dispatch(next, 1, Device::Gpu, 5.0, 1.0).unwrap());
-            recs.push(st.complete(next, 6.0).unwrap());
+            t.push(st.dispatch(next, 1, Device::Gpu, 5.0, 1.0).unwrap());
+            t.push(st.complete(next, 6.0).unwrap());
         }
-        recs.push(Record::Snapshot {
-            seq: recs.len() as u64,
-            fingerprint: st.fingerprint(),
-            state: encode_state(&st),
-        });
-        let outcome = replay_records(&recs, &ReplayOptions::default());
+        t.snapshot(&st);
+        let outcome = replay_records(&t.recs, &ReplayOptions::default());
         assert!(outcome.is_clean(), "{}", outcome.report.render_human());
         assert_eq!(outcome.state, st);
+        // The snapshots alone fold to the same state.
+        assert_eq!(fold_snapshots(&t.recs).unwrap(), st);
     }
 
     #[test]

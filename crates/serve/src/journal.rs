@@ -15,15 +15,24 @@
 //! causality and replay rules; the durable writer, the scan and the tail
 //! repair are the shared write-ahead log in [`crate::wal`].
 //!
+//! `snapshot` records are verification checkpoints, not a recovery
+//! source: recovery folds the other records. Each snapshot lists only
+//! the jobs records named since the previous one
+//! ([`Record::touched_jobs`]), so the first snapshot of a journal and
+//! the one right after a `recovered` boundary list every job
+//! (`crate::snapshot` has the codec).
+//!
 //! The format is versioned by [`JOURNAL_FORMAT_VERSION`], the sibling of
 //! `runtime::CACHE_FORMAT_VERSION`: bump it whenever a record's schema
 //! changes so stale journals are refused (SRV007) instead of
-//! misinterpreted. `docs/FAULTS.md` documents the format and the
-//! recovery semantics.
+//! misinterpreted. A journal recovery refuses is kept beside the fresh
+//! one as `<path>.refused`, never overwritten in place.
+//! `docs/FAULTS.md` documents the format and the recovery semantics.
 
 use crate::json::{obj, Json};
 use crate::wal::{self, LineRecord, Scan};
 use apu_sim::Device;
+use corun_core::JobId;
 use corun_verify::{Code, Diagnostic, Report};
 use std::path::Path;
 
@@ -31,8 +40,9 @@ use std::path::Path;
 /// SRV007. Versioned alongside `runtime::CACHE_FORMAT_VERSION`.
 /// v2 added `machines` to `meta`/`recovered` and the `cap`, `shutdown`,
 /// and `snapshot` record types that make journals deterministically
-/// replayable (`docs/REPLAY.md`).
-pub const JOURNAL_FORMAT_VERSION: u32 = 2;
+/// replayable (`docs/REPLAY.md`). v3 made `snapshot` states deltas: each
+/// lists only the jobs records named since the previous snapshot.
+pub const JOURNAL_FORMAT_VERSION: u32 = 3;
 
 /// One journal record. The first line of every journal is `Meta`; every
 /// later line describes one state transition, in commit order.
@@ -133,17 +143,44 @@ pub enum Record {
     },
     /// Graceful shutdown began: no further admissions, the queue drains.
     ShutdownBegin,
-    /// A periodic checkpoint of the full `ServiceState`, written at a
-    /// quiescent point (state and journal agree). Bounds replay time and
-    /// lets `corun replay` verify fingerprint equality mid-run.
+    /// A periodic checkpoint of the `ServiceState`, written at a
+    /// quiescent point (state and journal agree). Lets `corun replay`
+    /// verify fingerprint equality mid-run.
     Snapshot {
         /// Records written before this snapshot (its own journal index).
         seq: u64,
-        /// `ServiceState::fingerprint()` at the checkpoint.
+        /// `ServiceState::fingerprint()` of the whole state at the
+        /// checkpoint.
         fingerprint: u64,
-        /// The encoded state (see `snapshot::encode_state`).
+        /// The encoded delta: the jobs records named since the previous
+        /// snapshot ([`Record::touched_jobs`]) plus the queue, machines,
+        /// shutdown flag and counters (see `snapshot::encode_state`).
         state: String,
     },
+}
+
+impl Record {
+    /// The job ids whose snapshot entry this record may change: the one
+    /// job an `accept`, `reject`, `dispatch`, `done`, `requeue` or `dead`
+    /// names, every job a `recovered` boundary rebuilt, and none for the
+    /// rest (an `evict` is followed by one record per victim). The next
+    /// snapshot lists exactly the union of these since the previous one.
+    pub fn touched_jobs(&self) -> std::ops::Range<JobId> {
+        match self {
+            Record::Accept { id, .. }
+            | Record::Reject { id }
+            | Record::Dispatch { id, .. }
+            | Record::Done { id, .. }
+            | Record::Requeue { id, .. }
+            | Record::Dead { id, .. } => *id..*id + 1,
+            Record::Recovered { jobs, .. } => 0..*jobs,
+            Record::Meta { .. }
+            | Record::Evict { .. }
+            | Record::CapChange { .. }
+            | Record::ShutdownBegin
+            | Record::Snapshot { .. } => 0..0,
+        }
+    }
 }
 
 fn device_str(d: Device) -> &'static str {
@@ -786,6 +823,8 @@ mod tests {
         ]);
         for rec in all {
             let line = rec.to_json();
+            // `"t"` leads every line, so a line's type is its prefix.
+            assert!(line.starts_with("{\"t\":"), "{line}");
             let back = Record::from_json(&line).unwrap().unwrap();
             assert_eq!(back, rec, "roundtrip failed for {line}");
         }

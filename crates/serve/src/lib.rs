@@ -61,7 +61,7 @@ pub use protocol::{handle_request, PROTOCOL_VERSION};
 pub use ring::{MetricsPoint, MetricsRing, RING_CAPACITY};
 pub use server::{read_frame, Frame, Server, MAX_FRAME_BYTES};
 pub use service::{JobState, JobStatus, MetricsSnapshot, Service, ServiceConfig, SubmitError};
-pub use snapshot::{decode_state, encode_state};
+pub use snapshot::{apply_state, encode_state};
 pub use state::{
     Counters, FailReport, JobCore, MachineCore, ServiceState, TransitionError, Violation,
     ViolationKind,

@@ -52,6 +52,7 @@ use corun_verify::{Code, Diagnostic, Report, Severity, SpecLine};
 use perf_model::{CharacterizeConfig, ProfileMethod, StagedPredictor};
 use runtime::IncrementalModel;
 use std::collections::HashMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -304,6 +305,11 @@ struct Inner {
     /// `Journal::seq` right after the last snapshot append, so
     /// `maybe_snapshot` is idempotent at quiescent points.
     last_snapshot_seq: u64,
+    /// Job ids journal records named since the last snapshot
+    /// ([`Record::touched_jobs`]): what the next snapshot lists. A fresh
+    /// journal's jobs are all named by their `accept`s and a `recovered`
+    /// record names every job, so those snapshots come out full.
+    touched: Vec<JobId>,
     /// Fencing epoch of this incarnation: 1 for a fresh journal, bumped
     /// by every journal recovery (1 + the count of `Recovered` records).
     /// Echoed in every protocol response so a fleet coordinator can
@@ -378,6 +384,7 @@ impl Service {
             last_power_w: 0.0,
             snapshot_every: cfg.snapshot_every,
             last_snapshot_seq: 0,
+            touched: Vec::new(),
             epoch: 1,
             boot: boot_nonce(),
             names: HashMap::new(),
@@ -856,7 +863,7 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
         // recovery.
         if ok {
             if let Err(e) = repair_tail(path, &scan) {
-                inner.chaos_push(
+                report.push(
                     Diagnostic::new(
                         Code::Srv007,
                         path.display().to_string(),
@@ -866,6 +873,34 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
                 );
                 ok = false;
             }
+        }
+        // Starting fresh must not truncate a refused journal: move it
+        // aside first and name where it went in every error.
+        let aside = if ok { Ok(None) } else { set_aside(path) };
+        match &aside {
+            Ok(None) => {}
+            Ok(Some(kept)) => {
+                for d in &mut report.diagnostics {
+                    if d.severity == Severity::Error {
+                        d.message = format!(
+                            "{}; the refused journal is kept at {}",
+                            d.message,
+                            kept.display()
+                        );
+                    }
+                }
+            }
+            Err(e) => report.push(
+                Diagnostic::new(
+                    Code::Srv007,
+                    path.display().to_string(),
+                    format!(
+                        "cannot move the refused journal aside: {e}; \
+                         journaling disabled so it is not overwritten"
+                    ),
+                )
+                .with_severity(Severity::Error),
+            ),
         }
         for d in report.diagnostics {
             inner.chaos_push(d);
@@ -887,8 +922,9 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
                         jobs: inner.st.jobs.len(),
                         machines: cfg.machines,
                     });
-                    // Checkpoint the restored state immediately: replay
-                    // of the grown journal can fast-forward to here.
+                    // Checkpoint the restored state immediately. The
+                    // `recovered` record named every job, so this
+                    // snapshot is full.
                     inner.maybe_snapshot(true);
                 }
                 Err(e) => inner.chaos_push(
@@ -900,6 +936,9 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
                     .with_severity(Severity::Error),
                 ),
             }
+            return;
+        }
+        if aside.is_err() {
             return;
         }
     }
@@ -918,6 +957,35 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
             .with_severity(Severity::Error),
         ),
     }
+}
+
+/// Move a journal recovery refused to the first free `<path>.refused`
+/// (then `<path>.refused.1`, ...), so the fresh journal created in its
+/// place cannot truncate it. Returns where it went; an empty file holds
+/// nothing to keep and stays where it is (`None`).
+fn set_aside(path: &Path) -> std::io::Result<Option<PathBuf>> {
+    if std::fs::metadata(path)?.len() == 0 {
+        return Ok(None);
+    }
+    let kept = (0u32..)
+        .map(|n| {
+            let mut name = path.as_os_str().to_owned();
+            name.push(".refused");
+            if n > 0 {
+                name.push(format!(".{n}"));
+            }
+            PathBuf::from(name)
+        })
+        .find(|p| !p.exists())
+        .expect("some suffix is free");
+    std::fs::rename(path, &kept)?;
+    // Make the rename durable before a fresh journal takes the name.
+    let dir = match kept.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()?;
+    Ok(Some(kept))
 }
 
 /// Fold a successful replay into the fresh `Inner`: re-admit every job
@@ -977,6 +1045,7 @@ impl Inner {
         let Some(journal) = self.journal.as_mut() else {
             return;
         };
+        self.touched.extend(record.touched_jobs());
         if let Err(e) = journal.append(record) {
             let loc = journal.path().display().to_string();
             self.journal = None;
@@ -1027,7 +1096,9 @@ impl Inner {
     /// and post-recovery checkpoints), otherwise only after
     /// `snapshot_every` records. Callers must hold the lock at a
     /// quiescent point — every state mutation already journaled — so the
-    /// snapshot equals replaying its own prefix.
+    /// snapshot equals replaying its own prefix. The snapshot lists only
+    /// the jobs named since the previous one; its fingerprint covers the
+    /// whole state.
     fn maybe_snapshot(&mut self, force: bool) {
         let Some(journal) = self.journal.as_ref() else {
             return;
@@ -1043,7 +1114,7 @@ impl Inner {
         let record = Record::Snapshot {
             seq,
             fingerprint: self.st.fingerprint(),
-            state: encode_state(&self.st),
+            state: encode_state(&self.st, self.touched.drain(..)),
         };
         self.journal_append(&record);
         if let Some(journal) = self.journal.as_ref() {
@@ -1881,7 +1952,15 @@ mod tests {
             JobState::Done { .. }
         ));
         svc.shutdown();
+        // The refused journal was moved aside, not truncated.
+        let mut refused = path.clone().into_os_string();
+        refused.push(".refused");
+        assert!(
+            std::fs::read_to_string(&refused).is_ok_and(|t| t.contains("999")),
+            "the stale journal must be kept"
+        );
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(refused).ok();
     }
 
     #[test]

@@ -1,19 +1,30 @@
-//! Snapshot codec: [`ServiceState`] ⇄ one compact JSON document.
+//! Snapshot codec: the jobs a checkpoint lists, plus the small rest of a
+//! [`ServiceState`], as one compact JSON document.
 //!
 //! The daemon periodically embeds a `Snapshot` journal record carrying
-//! the encoded state plus its fingerprint, written only at quiescent
-//! points where the journal and the in-memory state agree (see
-//! `docs/REPLAY.md`). `corun replay` decodes snapshots to verify that
-//! re-executing the journal reproduces the recorded state bit-identically
-//! and to report field-level differences with `--diff`.
+//! an encoded document plus the full-state fingerprint, written only at
+//! quiescent points where the journal and the in-memory state agree (see
+//! `docs/REPLAY.md`). A document holds `jobs_len`, `[id, job]` pairs for
+//! the jobs it lists, and the whole `queue`, `machines`, `shutdown` and
+//! `counters`. The daemon lists only the jobs journal records named since
+//! its previous snapshot ([`Record::touched_jobs`]), so a checkpoint costs
+//! O(state changed), not O(history). A full snapshot is the same document
+//! listing every id: the first of a journal and the one after recovery.
+//!
+//! [`apply_state`] folds one document into a state; folding a journal's
+//! snapshots in order from an empty state rebuilds what the daemon
+//! recorded, which `corun replay --diff` compares against re-execution.
 //!
 //! Floats are rendered with Rust's shortest-roundtrip formatting (the
-//! `json` module), so `decode_state(encode_state(st))` reproduces every
-//! `f64` exactly and `fingerprint()` equality is preserved.
+//! `json` module), so folding reproduces every `f64` exactly and
+//! `fingerprint()` equality is preserved.
+//!
+//! [`Record::touched_jobs`]: crate::journal::Record::touched_jobs
 
 use crate::json::{obj, Json};
 use crate::state::{Counters, JobCore, JobState, MachineCore, ServiceState};
 use apu_sim::Device;
+use corun_core::JobId;
 use std::collections::VecDeque;
 
 fn device_json(d: Device) -> Json {
@@ -78,11 +89,24 @@ fn job_json(j: &JobCore) -> Json {
     obj(fields)
 }
 
-/// Encode a full [`ServiceState`] as one compact JSON document.
-pub fn encode_state(st: &ServiceState) -> String {
+/// Encode `st` as one snapshot document listing the jobs `ids` names,
+/// each once and in increasing order (duplicates are fine). Every id must
+/// be below `st.jobs.len()`; pass `0..st.jobs.len()` for a full snapshot.
+pub fn encode_state(st: &ServiceState, ids: impl IntoIterator<Item = JobId>) -> String {
+    let mut ids: Vec<JobId> = ids.into_iter().collect();
+    ids.sort_unstable();
+    ids.dedup();
     let c = st.counters;
     obj(vec![
-        ("jobs", Json::Arr(st.jobs.iter().map(job_json).collect())),
+        ("jobs_len", Json::Num(st.jobs.len() as f64)),
+        (
+            "jobs",
+            Json::Arr(
+                ids.into_iter()
+                    .map(|id| Json::Arr(vec![Json::Num(id as f64), job_json(&st.jobs[id])]))
+                    .collect(),
+            ),
+        ),
         (
             "queue",
             Json::Arr(st.queue.iter().map(|&id| Json::Num(id as f64)).collect()),
@@ -199,18 +223,62 @@ fn decode_slot(v: &Json, key: &str) -> Result<Option<usize>, String> {
     }
 }
 
-/// Decode a document [`encode_state`] produced back into a
-/// [`ServiceState`]. Any structural problem is an error — a snapshot
-/// that does not decode exactly is worthless as a replay checkpoint.
-pub fn decode_state(text: &str) -> Result<ServiceState, String> {
+/// Decode one `[id, job]` pair of a document's `jobs` list.
+fn decode_entry(v: &Json) -> Result<(JobId, JobCore), String> {
+    match v.as_arr() {
+        Some([id, job]) => {
+            let id = id.as_index().ok_or("job entry id is not an index")?;
+            Ok((id, decode_job(job, id)?))
+        }
+        _ => Err("job entry is not an `[id, job]` pair".into()),
+    }
+}
+
+/// Fold one document [`encode_state`] produced into `st`: the job table
+/// grows to `jobs_len`, every listed job replaces its entry, and the
+/// queue, machines, shutdown flag and counters are replaced outright.
+/// Folding a journal's snapshots in order from `ServiceState::new(0)`
+/// rebuilds the state the last of them recorded.
+///
+/// Any structural problem is an error and leaves `st` untouched — a
+/// document that does not decode exactly is worthless as a replay
+/// checkpoint. So is one that lists an id out of order or at or past
+/// `jobs_len`, shrinks the job table, or leaves unlisted a job it adds
+/// (an id from `st.jobs.len()` up to `jobs_len`).
+pub fn apply_state(st: &mut ServiceState, text: &str) -> Result<(), String> {
     let v = Json::parse(text).map_err(|e| format!("snapshot is not valid JSON: {e}"))?;
+    let jobs_len = req_idx(&v, "jobs_len")?;
+    let known = st.jobs.len();
+    if jobs_len < known {
+        return Err(format!(
+            "`jobs_len` {jobs_len} would shrink a job table of {known}"
+        ));
+    }
     let jobs = req(&v, "jobs")?
         .as_arr()
         .ok_or("`jobs` is not an array")?
         .iter()
-        .enumerate()
-        .map(|(k, j)| decode_job(j, k))
-        .collect::<Result<Vec<JobCore>, String>>()?;
+        .map(decode_entry)
+        .collect::<Result<Vec<(JobId, JobCore)>, String>>()?;
+    // Listed ids strictly increase below `jobs_len`, and the new ones
+    // among them are exactly `known..jobs_len`.
+    let mut next_new = known;
+    for (k, &(id, _)) in jobs.iter().enumerate() {
+        if id >= jobs_len {
+            return Err(format!("job {id} is listed past `jobs_len` {jobs_len}"));
+        }
+        if k > 0 && id <= jobs[k - 1].0 {
+            return Err(format!("job {id} is listed out of order"));
+        }
+        if id == next_new {
+            next_new += 1;
+        }
+    }
+    if next_new != jobs_len {
+        return Err(format!(
+            "job {next_new} is new (`jobs_len` {jobs_len}) but not listed"
+        ));
+    }
     let queue = req(&v, "queue")?
         .as_arr()
         .ok_or("`queue` is not an array")?
@@ -243,13 +311,19 @@ pub fn decode_state(text: &str) -> Result<ServiceState, String> {
         dead_lettered: req_idx(c, "dead_lettered")?,
         evictions: req_idx(c, "evictions")?,
     };
-    Ok(ServiceState {
-        jobs,
-        queue,
-        machines,
-        shutdown: req_bool(&v, "shutdown")?,
-        counters,
-    })
+    let shutdown = req_bool(&v, "shutdown")?;
+    for (id, job) in jobs {
+        if id < known {
+            st.jobs[id] = job;
+        } else {
+            st.jobs.push(job);
+        }
+    }
+    st.queue = queue;
+    st.machines = machines;
+    st.shutdown = shutdown;
+    st.counters = counters;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -282,32 +356,94 @@ mod tests {
         st
     }
 
+    /// Fold `docs` in order from an empty state.
+    fn fold(docs: &[String]) -> Result<ServiceState, String> {
+        let mut st = ServiceState::new(0);
+        for doc in docs {
+            apply_state(&mut st, doc)?;
+        }
+        Ok(st)
+    }
+
     #[test]
     fn snapshot_roundtrip_preserves_state_and_fingerprint() {
         let st = busy_state();
-        let text = encode_state(&st);
-        let back = decode_state(&text).expect("decode");
+        let text = encode_state(&st, 0..st.jobs.len());
+        let back = fold(std::slice::from_ref(&text)).expect("decode");
         assert_eq!(back, st);
         assert_eq!(back.fingerprint(), st.fingerprint());
         // And the encoding itself is stable across a second round-trip.
-        assert_eq!(encode_state(&back), text);
+        assert_eq!(encode_state(&back, 0..back.jobs.len()), text);
     }
 
     #[test]
     fn empty_state_roundtrips() {
         let st = ServiceState::new(0);
-        let back = decode_state(&encode_state(&st)).unwrap();
+        let back = fold(&[encode_state(&st, [])]).unwrap();
         assert_eq!(back, st);
     }
 
     #[test]
+    fn deltas_fold_to_the_latest_state() {
+        let retry = RetryPolicy::default();
+        let mut st = ServiceState::new(2);
+        for k in 0..4 {
+            st.accept(&format!("srad#{k}"), "srad", 0.25).unwrap();
+        }
+        let full = encode_state(&st, 0..4);
+        // Touch job 1 and add job 4; jobs 0, 2 and 3 stay as listed.
+        st.dispatch(1, 0, Device::Gpu, 0.0, 3.5).unwrap();
+        st.fail(1, &retry, "injected job failure").unwrap();
+        st.accept("lud#0", "lud", 0.1).unwrap();
+        // Unsorted, duplicated ids are listed once, in order.
+        let delta = encode_state(&st, [4, 1, 4]);
+        assert_eq!(delta, encode_state(&st, [1, 4]));
+        let back = fold(&[full, delta]).unwrap();
+        assert_eq!(back, st);
+        assert_eq!(back.fingerprint(), st.fingerprint());
+    }
+
+    #[test]
+    fn a_delta_must_list_every_job_it_adds() {
+        let mut st = ServiceState::new(1);
+        st.accept("a#0", "srad", 0.1).unwrap();
+        let first = encode_state(&st, [0]);
+        st.accept("a#1", "srad", 0.1).unwrap();
+        st.accept("a#2", "srad", 0.1).unwrap();
+        let mut base = fold(&[first]).unwrap();
+        let before = base.clone();
+        let err = apply_state(&mut base, &encode_state(&st, [2])).unwrap_err();
+        assert!(err.contains("job 1 is new"), "{err}");
+        // A refused document leaves the state untouched.
+        assert_eq!(base, before);
+        // Nor may a document shrink the table.
+        let err = apply_state(
+            &mut fold(&[encode_state(&st, 0..3)]).unwrap(),
+            &encode_state(&before, []),
+        )
+        .unwrap_err();
+        assert!(err.contains("shrink"), "{err}");
+    }
+
+    #[test]
     fn decode_rejects_malformed_documents() {
-        assert!(decode_state("not json").is_err());
-        assert!(decode_state("{}").is_err());
-        assert!(decode_state(r#"{"jobs":[],"queue":[],"machines":[]}"#).is_err());
-        assert!(decode_state(
-            r#"{"jobs":[{"name":"a"}],"queue":[],"machines":[],"shutdown":false,"counters":{"accepted":0,"rejected":0,"dispatched":0,"completed":0,"requeued":0,"dead_lettered":0,"evictions":0}}"#
+        let mut st = ServiceState::new(0);
+        assert!(apply_state(&mut st, "not json").is_err());
+        assert!(apply_state(&mut st, "{}").is_err());
+        assert!(apply_state(
+            &mut st,
+            r#"{"jobs_len":0,"jobs":[],"queue":[],"machines":[]}"#
         )
         .is_err());
+        let counters = r#""counters":{"accepted":0,"rejected":0,"dispatched":0,"completed":0,"requeued":0,"dead_lettered":0,"evictions":0}"#;
+        let doc = |jobs: &str| {
+            format!(
+                r#"{{"jobs_len":1,"jobs":{jobs},"queue":[],"machines":[],"shutdown":false,{counters}}}"#
+            )
+        };
+        assert!(apply_state(&mut st, &doc(r#"[[0,{"name":"a"}]]"#)).is_err());
+        assert!(apply_state(&mut st, &doc(r#"[{"name":"a"}]"#)).is_err());
+        assert!(apply_state(&mut st, &doc(r#"[[1,{"name":"a"}]]"#)).is_err());
+        assert_eq!(st, ServiceState::new(0));
     }
 }

@@ -8,7 +8,7 @@
 
 use corun_core::RetryPolicy;
 use corun_serve::journal::{replay, scan_journal, Disposition};
-use corun_serve::{JobState, Service, ServiceConfig};
+use corun_serve::{JobState, Record, Service, ServiceConfig, JOURNAL_FORMAT_VERSION};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,6 +20,13 @@ fn temp_journal(tag: &str) -> PathBuf {
         "corun-chaos-recovery-{}-{tag}-{n}.jsonl",
         std::process::id()
     ))
+}
+
+/// Where recovery keeps a journal it refused.
+fn refused_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".refused");
+    PathBuf::from(name)
 }
 
 fn journaled_cfg(path: &Path, recover: bool) -> ServiceConfig {
@@ -56,6 +63,7 @@ fn recover_and_check(path: &Path) {
     let (expected, replay_report) = replay(&scan.records);
     let wholesale_abandon = scan.report.has_errors() || replay_report.has_errors();
 
+    let before = std::fs::read(path).expect("journal bytes");
     let svc = Service::start(journaled_cfg(path, true));
     if wholesale_abandon {
         assert_eq!(
@@ -64,6 +72,12 @@ fn recover_and_check(path: &Path) {
             "an unreplayable journal must start fresh, not half-recovered"
         );
         svc.shutdown();
+        // The refused bytes survive beside the fresh journal.
+        if !before.is_empty() {
+            let refused = refused_path(path);
+            assert_eq!(std::fs::read(&refused).expect("refused journal"), before);
+            std::fs::remove_file(refused).ok();
+        }
         return;
     }
     assert_eq!(svc.job_count(), expected.jobs.len(), "no job may be lost");
@@ -230,6 +244,7 @@ fn mid_file_corruption_abandons_recovery() {
         scan.report.render_human()
     );
 
+    let corrupt = std::fs::read(&path).expect("corrupt journal");
     let svc = Service::start(journaled_cfg(&path, true));
     assert_eq!(svc.job_count(), 0, "no prefix may be restored");
     let diags = svc.chaos_report();
@@ -239,5 +254,54 @@ fn mid_file_corruption_abandons_recovery() {
         diags.render_human()
     );
     svc.shutdown();
+    // The fsync'd records after the bad line are not lost: the refused
+    // journal is kept whole for the post-mortem.
+    let refused = refused_path(&path);
+    assert_eq!(std::fs::read(&refused).expect("refused journal"), corrupt);
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(refused).ok();
+}
+
+#[test]
+fn a_refused_journal_is_kept_not_truncated() {
+    // A journal of an older format version must be refused — and, since
+    // starting fresh creates a new journal at the same path, moved aside
+    // first instead of truncated.
+    let path = temp_journal("oldversion");
+    let bytes = run_and_capture(&path, "srad x0.05 *2\n");
+    let text = String::from_utf8(bytes).expect("utf-8 journal");
+    let current = format!("\"version\":{JOURNAL_FORMAT_VERSION},");
+    assert!(text.starts_with("{\"t\":\"meta\","), "{text}");
+    let old = text.replacen(&current, "\"version\":2,", 1);
+    assert_ne!(old, text);
+    std::fs::write(&path, &old).expect("write v2 journal");
+
+    let svc = Service::start(journaled_cfg(&path, true));
+    assert_eq!(svc.job_count(), 0, "a refused journal restores nothing");
+    let refused = refused_path(&path);
+    let diags = svc.chaos_report();
+    let named = diags.errors().any(|d| {
+        d.code == corun_verify::Code::Srv007 && d.message.contains(&refused.display().to_string())
+    });
+    assert!(named, "{}", diags.render_human());
+    svc.shutdown();
+    drop(svc);
+
+    assert_eq!(
+        std::fs::read_to_string(&refused).expect("refused journal"),
+        old,
+        "the refused journal keeps its original bytes"
+    );
+    let fresh = scan_journal(&path);
+    assert!(
+        !fresh.report.has_errors(),
+        "{}",
+        fresh.report.render_human()
+    );
+    assert!(matches!(
+        fresh.records.first(),
+        Some(Record::Meta { version, .. }) if *version == JOURNAL_FORMAT_VERSION
+    ));
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(refused).ok();
 }

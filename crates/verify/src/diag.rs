@@ -186,7 +186,8 @@ pub enum Code {
     /// the journal recorded (divergent id, attempt, or refused
     /// transition).
     Rpl003,
-    /// A journal snapshot's embedded state document does not decode.
+    /// A journal snapshot's embedded state document does not decode, or
+    /// does not fold onto the snapshots before it.
     Rpl004,
 }
 
@@ -420,7 +421,7 @@ impl Code {
             Code::Rpl001 => "replaying a journal prefix reproduces every snapshot fingerprint",
             Code::Rpl002 => "full journal replay reproduces the terminal state bit-identically",
             Code::Rpl003 => "every journal record re-applies to exactly the transition it recorded",
-            Code::Rpl004 => "journal snapshots decode back into a service state",
+            Code::Rpl004 => "journal snapshots decode and fold back into a service state",
         }
     }
 
