@@ -160,6 +160,46 @@ fi
 trap - EXIT
 rm -f "$SERVE_LOG" "$SUBMIT_ERR"
 
+echo "== corun serve: a daemon whose journal fails admits nothing"
+# /dev/full fails every write with ENOSPC, so the journal header never
+# lands and the daemon starts in the fail-stop state: every submit must
+# bounce with the SRV007 journal error.
+FULL_LOG=$(mktemp)
+FULL_ERR=$(mktemp)
+$CORUN serve --fast --port 0 --journal /dev/full >"$FULL_LOG" 2>&1 &
+FULL_PID=$!
+trap 'kill "$FULL_PID" 2>/dev/null || true' EXIT
+FULL_ADDR=""
+for _ in $(seq 1 150); do
+    FULL_ADDR=$(sed -n 's/^listening on //p' "$FULL_LOG")
+    [ -n "$FULL_ADDR" ] && break
+    if ! kill -0 "$FULL_PID" 2>/dev/null; then
+        echo "FAIL: /dev/full daemon exited during startup" >&2
+        cat "$FULL_LOG" >&2
+        exit 1
+    fi
+    sleep 0.2
+done
+if [ -z "$FULL_ADDR" ]; then
+    echo "FAIL: /dev/full daemon did not report its address within 30s" >&2
+    cat "$FULL_LOG" >&2
+    exit 1
+fi
+if timeout 30 $CORUN submit --addr "$FULL_ADDR" --no-retry \
+    --spec examples/specs/rodinia_small.spec >/dev/null 2>"$FULL_ERR"; then
+    echo "FAIL: a daemon with a failed journal admitted work" >&2
+    exit 1
+fi
+grep -q "journal_failed: SRV007" "$FULL_ERR" || {
+    echo "FAIL: expected the SRV007 journal error, got:" >&2
+    cat "$FULL_ERR" >&2
+    exit 1
+}
+kill "$FULL_PID"
+wait "$FULL_PID" 2>/dev/null || true
+trap - EXIT
+rm -f "$FULL_LOG" "$FULL_ERR"
+
 echo "== corun serve: chaos smoke (faults + kill -9 + --recover)"
 CHAOS_LOG=$(mktemp)
 CHAOS_JOURNAL=$(mktemp)
@@ -198,12 +238,12 @@ trap 'kill -9 "$CHAOS_PID" 2>/dev/null || true' EXIT
 CHAOS_ADDR=$(wait_for_addr "$CHAOS_LOG" "$CHAOS_PID")
 
 # Submit the faulted batch, then hard-kill the daemon mid-flight: no
-# drain, no goodbye — only the fsync'd journal survives.
+# drain, no goodbye — only the journal survives.
 timeout 60 $CORUN submit --addr "$CHAOS_ADDR" --spec "$CHAOS_SPEC" >/dev/null
 kill -9 "$CHAOS_PID"
 wait "$CHAOS_PID" 2>/dev/null || true
 
-# The kill -9'd journal is an arbitrary fsync-boundary prefix (possibly
+# The kill -9'd journal is an arbitrary record-boundary prefix (possibly
 # with a torn tail); its valid records must already replay with zero
 # divergence, before any recovery runs.
 timeout 60 $CORUN replay "$CHAOS_JOURNAL" --quiet || {

@@ -7,8 +7,8 @@ use corun_serve::{Client, Json, RetryConfig, Server, Service, ServiceConfig};
 
 /// SIGINT/SIGTERM plumbing: a handler just flags the request; a monitor
 /// thread in [`cmd_serve`] turns the flag into the same graceful
-/// drain-and-exit as the `shutdown` RPC (workers drain the queue, the
-/// journal stays flushed — it is fsync'd per record anyway).
+/// drain-and-exit as the `shutdown` RPC (workers drain the queue, and
+/// the shutdown path commits the journal).
 #[cfg(unix)]
 mod signals {
     use std::sync::atomic::{AtomicBool, Ordering};

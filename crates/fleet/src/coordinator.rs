@@ -263,9 +263,12 @@ pub struct Fleet {
     breakers: Vec<Breaker>,
     /// Last-seen fenced-reply count per shard, for FLT008 surfacing.
     fenced_seen: Vec<u64>,
-    /// Write-ahead journal; dropped (with an FLT009 diagnostic) on the
-    /// first write failure rather than stalling the fleet.
+    /// Write-ahead journal; `None` without a journal path, or once it
+    /// failed.
     log: Option<Journal>,
+    /// Why the fleetlog failed (FLT009), once it has. From then on the
+    /// coordinator admits no new work; `pump` still runs what it has.
+    log_failed: Option<String>,
     /// Diagnostics raised while running: circuit opens (FLT007), fenced
     /// replies (FLT008), journal write failures (FLT009).
     chaos: Report,
@@ -441,6 +444,7 @@ impl Fleet {
             breakers: vec![Breaker::new(); n],
             fenced_seen: vec![0; n],
             log,
+            log_failed: None,
             chaos,
             recoveries,
             shards,
@@ -448,25 +452,51 @@ impl Fleet {
         };
         fleet.poll_shards();
         fleet.rebalance();
+        fleet.log_commit();
         Ok(fleet)
     }
 
-    /// Durably append one journal record. A write failure does not stop
-    /// the fleet: journaling is disabled and an FLT009 diagnostic is
-    /// raised instead (the run keeps its in-memory books; only crash
-    /// recovery is lost).
+    /// Write one journal record; the next [`Fleet::log_commit`] makes it
+    /// durable. A failed write stops admissions (see `log_failed`).
     fn log_rec(&mut self, rec: &FleetRecord) {
         let Some(log) = &mut self.log else { return };
-        if let Err(e) = log.append(rec) {
-            self.log = None;
-            self.chaos.push(
-                Diagnostic::new(
-                    Code::Flt009,
-                    "fleet journal",
-                    format!("journal write failed, crash recovery disabled: {e}"),
-                )
-                .with_severity(Severity::Error),
-            );
+        if let Err(e) = log.write(rec) {
+            self.log_fail(format!("journal write failed: {e}"));
+        }
+    }
+
+    /// The fleetlog's commit point: one fsync covers every record written
+    /// since the last. It runs before each submit RPC (so the intent is
+    /// durable first), before `submit_spec` returns ids, and once at the
+    /// end of a round. A failed commit stops admissions and is never
+    /// retried.
+    fn log_commit(&mut self) {
+        let Some(log) = &mut self.log else { return };
+        if let Err(e) = log.commit() {
+            self.log_fail(format!("journal commit failed: {e}"));
+        }
+    }
+
+    fn log_fail(&mut self, reason: String) {
+        self.log = None;
+        self.chaos.push(
+            Diagnostic::new(
+                Code::Flt009,
+                "fleet journal",
+                format!("{reason}; the coordinator admits no new work"),
+            )
+            .with_severity(Severity::Error),
+        );
+        self.log_failed = Some(reason);
+    }
+
+    /// `Err` once the fleetlog has failed.
+    fn log_healthy(&self) -> Result<(), String> {
+        match &self.log_failed {
+            Some(reason) => Err(format!(
+                "fleet journal failed (FLT009): {reason}; no new work is admitted"
+            )),
+            None => Ok(()),
         }
     }
 
@@ -482,14 +512,19 @@ impl Fleet {
     }
 
     /// Admit a workload spec fragment to the fleet: each expanded job is
-    /// placed independently by key. Returns the fleet job ids.
+    /// placed independently by key. Returns the fleet job ids once their
+    /// `admit` records are durable. After the fleetlog failed, every call
+    /// is refused; a call whose own commit fails returns `Err`, though
+    /// the jobs it placed still run.
     pub fn submit_spec(&mut self, text: &str) -> Result<Vec<FleetJobId>, String> {
+        self.log_healthy()?;
         let (lines, report) = corun_verify::lint_spec_full(text);
         if report.has_errors() {
             return Err(format!("spec failed lint:\n{}", report.render_human()));
         }
         let mut ids = Vec::new();
-        for line in &lines {
+        let mut placed = Ok(());
+        'lines: for line in &lines {
             for _ in 0..line.count {
                 let key = format!("{}x{}#{}", line.name, line.scale, self.next_key);
                 self.next_key += 1;
@@ -499,11 +534,16 @@ impl Fleet {
                         self.log_rec(&FleetRecord::Admit { id, key, spec });
                         ids.push(id);
                     }
-                    Err(_) => return Err("no live shard to place jobs on".into()),
+                    Err(_) => {
+                        placed = Err("no live shard to place jobs on".to_string());
+                        break 'lines;
+                    }
                 }
             }
         }
-        Ok(ids)
+        self.log_commit();
+        self.log_healthy()?;
+        placed.map(|()| ids)
     }
 
     /// One coordinator round; returns the number of jobs newly observed
@@ -553,6 +593,8 @@ impl Fleet {
             &self.caps_w,
             self.cfg.cluster_cap_w
         ));
+        // One commit for the round's confirms, completions and caps.
+        self.log_commit();
         folded
     }
 
@@ -667,6 +709,7 @@ impl Fleet {
         self.force_sweep[shard] = true;
         self.apply_caps(caps);
         self.rebalances += 1;
+        self.log_commit();
         Ok(())
     }
 
@@ -682,6 +725,7 @@ impl Fleet {
         for shard in &mut self.shards {
             shard.finish();
         }
+        self.log_commit();
     }
 
     /// Partition the cluster cap across shards, treating `treat_alive`
@@ -877,11 +921,13 @@ impl Fleet {
                 };
                 let key = self.router.job(id).key.clone();
                 let spec = self.router.job(id).spec.clone();
-                // Intent is journaled *before* the RPC: if the
+                // Intent is committed *before* the RPC: if the
                 // coordinator dies in between, recovery sees intent
                 // without confirm and resolves the job against this
-                // shard instead of guessing.
+                // shard instead of guessing. The commit also covers the
+                // records written since the last one.
                 self.log_rec(&FleetRecord::Intent { id, shard: s });
+                self.log_commit();
                 match self.shards[s].submit(&key, &spec) {
                     SubmitOutcome::Accepted(local_ids) => {
                         assert_eq!(

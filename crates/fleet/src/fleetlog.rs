@@ -2,13 +2,13 @@
 //!
 //! The shard journals make each *shard* kill -9-safe; this log makes the
 //! *coordinator* recoverable: every placement decision is journaled via
-//! the same write-ahead log ([`corun_serve::wal`]: one fsync'd writer,
-//! one scan, one tail repair) the shards use, so `corun fleet --recover`
-//! rebuilds the router books after a coordinator crash with nothing lost
-//! and nothing double-dispatched. This module is only the vocabulary
-//! ([`FleetRecord`]) and its fold ([`replay_fleetlog`]).
+//! the same write-ahead log ([`corun_serve::wal`]: one writer with a
+//! commit point, one scan, one tail repair) the shards use, so `corun
+//! fleet --recover` rebuilds the router books after a coordinator crash
+//! with nothing lost and nothing double-dispatched. This module is only
+//! the vocabulary ([`FleetRecord`]) and its fold ([`replay_fleetlog`]).
 //!
-//! The exactly-once trick is the `intent` record: it is written *before*
+//! The exactly-once trick is the `intent` record: it is committed *before*
 //! the submit RPC leaves the coordinator. A crash between the RPC and
 //! its `confirm` leaves an intent-without-confirm in the log, which
 //! recovery maps to the in-doubt state — the job is then re-submitted

@@ -858,6 +858,9 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
                     .max(0.0),
             },
             "shutting_down" => SubmitOutcome::Down(msg),
+            // The accept may be on the shard's disk without being
+            // durable: pin the job here for keyed resolution.
+            "journal_failed" => SubmitOutcome::Indeterminate(format!("{code}: {msg}")),
             _ => SubmitOutcome::Refused(format!("{code}: {msg}")),
         }
     }
@@ -869,8 +872,13 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
                 ("id", Json::Num(local_id as f64)),
             ])
             .map_err(|e| e.to_string())?;
-        if r.get("error").and_then(Json::as_str) == Some("unknown_job") {
-            return Ok(JobPhase::Unknown);
+        match r.get("error").and_then(Json::as_str) {
+            Some("unknown_job") => return Ok(JobPhase::Unknown),
+            Some("journal_failed") => {
+                let msg = r.get("message").and_then(Json::as_str);
+                return Err(msg.unwrap_or("journal_failed").to_string());
+            }
+            _ => {}
         }
         Ok(match r.get("state").and_then(Json::as_str) {
             Some("done") => JobPhase::Done,

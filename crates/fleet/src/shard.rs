@@ -165,6 +165,9 @@ impl ShardBackend for LocalShard {
             Err(e @ (SubmitError::Lint(_) | SubmitError::Infeasible { .. })) => {
                 SubmitOutcome::Refused(e.to_string())
             }
+            // The accept may be on the shard's disk without being
+            // durable: pin the job here for keyed resolution.
+            Err(e @ SubmitError::JournalFailed(_)) => SubmitOutcome::Indeterminate(e.to_string()),
         }
     }
 
@@ -172,7 +175,11 @@ impl ShardBackend for LocalShard {
         let Some(service) = &self.service else {
             return Err("shard stopped".into());
         };
-        Ok(match service.job_status(local_id) {
+        let status = service.job_status(local_id);
+        if let Some(failed) = service.journal_failure() {
+            return Err(failed.to_string());
+        }
+        Ok(match status {
             None => JobPhase::Unknown,
             Some(s) => match s.state {
                 JobState::Done { .. } => JobPhase::Done,
@@ -203,10 +210,7 @@ impl ShardBackend for LocalShard {
 
     fn set_cap(&mut self, cap_w: f64) -> Result<(), String> {
         match &self.service {
-            Some(service) => {
-                service.set_cap_w(cap_w);
-                Ok(())
-            }
+            Some(service) => service.set_cap_w(cap_w).map_err(|e| e.to_string()),
             None => Err("shard stopped".into()),
         }
     }

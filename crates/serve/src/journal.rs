@@ -1,10 +1,11 @@
-//! Crash-safe service journal: an append-only, fsync'd line-JSON log of
-//! every admission, dispatch, completion, requeue, dead-letter, and
-//! eviction the daemon performs.
+//! Crash-safe service journal: an append-only line-JSON log of every
+//! admission, dispatch, completion, requeue, dead-letter, and eviction
+//! the daemon performs.
 //!
 //! The journal is the daemon's write-ahead record: each record is one
-//! JSON object on one line, flushed and `sync_data`'d before the state
-//! change it describes becomes observable to clients. A daemon killed at
+//! JSON object on one line, written as the state changes and committed
+//! (`sync_data`) before any reply that reports the change goes out (see
+//! [`crate::wal::Journal`] and `docs/FAULTS.md`). A daemon killed at
 //! any byte can therefore be restarted with `--recover`: [`scan_journal`]
 //! drops a torn final line (the kill landed mid-write) and [`replay`]
 //! folds the surviving prefix into one [`Disposition`] per job — done

@@ -10,12 +10,14 @@
 //!
 //! - [`json`] — a dependency-free JSON value type (parse + render).
 //! - [`wal`] — the write-ahead line log under both durable logs (this
-//!   journal and the fleet coordinator's fleetlog): one fsync'd writer
-//!   ([`Journal`]), one scan with one torn-tail rule, one tail repair.
+//!   journal and the fleet coordinator's fleetlog): one writer with a
+//!   commit point ([`Journal`]), one scan with one torn-tail rule, one
+//!   tail repair.
 //! - [`journal`] — the daemon journal's record vocabulary: every
 //!   admission, dispatch, completion, requeue, dead-letter, and eviction
-//!   is durably logged, and [`journal::replay`] reconstructs the exact
-//!   job table a killed daemon left behind.
+//!   is logged and committed before the reply that reports it, and
+//!   [`journal::replay`] reconstructs the exact job table a killed
+//!   daemon left behind.
 //! - [`state`] — the pure service state machine: admission, dispatch,
 //!   completion, retry/dead-letter, crash eviction, and recovery as
 //!   side-effect-free transition functions over [`ServiceState`], with
@@ -60,7 +62,9 @@ pub use json::Json;
 pub use protocol::{handle_request, PROTOCOL_VERSION};
 pub use ring::{MetricsPoint, MetricsRing, RING_CAPACITY};
 pub use server::{read_frame, Frame, Server, MAX_FRAME_BYTES};
-pub use service::{JobState, JobStatus, MetricsSnapshot, Service, ServiceConfig, SubmitError};
+pub use service::{
+    JobState, JobStatus, JournalFailed, MetricsSnapshot, Service, ServiceConfig, SubmitError,
+};
 pub use snapshot::{apply_state, encode_state};
 pub use state::{
     Counters, FailReport, JobCore, MachineCore, ServiceState, TransitionError, Violation,

@@ -9,7 +9,7 @@
 //! raw lines, and tests can drive the whole protocol without a socket.
 
 use crate::json::{obj, Json};
-use crate::service::{JobState, JobStatus, MetricsSnapshot, Service, SubmitError};
+use crate::service::{JobState, JobStatus, JournalFailed, MetricsSnapshot, Service, SubmitError};
 use apu_sim::Device;
 
 /// Protocol revision, echoed by `ping` and checked by clients.
@@ -84,10 +84,11 @@ fn dispatch(service: &Service, req: &Json) -> Json {
             let Some(id) = req.get("id").and_then(Json::as_index) else {
                 return error("bad_request", "status needs a numeric field `id`");
             };
-            match service.job_status(id) {
+            let reply = match service.job_status(id) {
                 Some(status) => status_json(&status),
                 None => error("unknown_job", &format!("no job with id {id}")),
-            }
+            };
+            committed(service, reply)
         }
         "metrics" => metrics_json(&service.metrics()),
         "watch" => {
@@ -127,12 +128,14 @@ fn dispatch(service: &Service, req: &Json) -> Json {
             if !cap_w.is_finite() || cap_w <= 0.0 {
                 return error("bad_request", "`cap_w` must be finite and positive");
             }
-            service.set_cap_w(cap_w);
-            obj(vec![("ok", Json::Bool(true)), ("cap_w", Json::Num(cap_w))])
+            match service.set_cap_w(cap_w) {
+                Ok(()) => obj(vec![("ok", Json::Bool(true)), ("cap_w", Json::Num(cap_w))]),
+                Err(failed) => journal_failed_json(&failed),
+            }
         }
         "shutdown" => {
             service.begin_shutdown();
-            obj(vec![("ok", Json::Bool(true))])
+            committed(service, obj(vec![("ok", Json::Bool(true))]))
         }
         other => error("unknown_op", &format!("unknown op `{other}`")),
     }
@@ -197,6 +200,21 @@ fn submit_error_json(e: &SubmitError) -> Json {
             ("error", Json::Str("shutting_down".into())),
             ("message", Json::Str(e.to_string())),
         ]),
+        SubmitError::JournalFailed(failed) => journal_failed_json(failed),
+    }
+}
+
+/// The reply to a committing op once the journal has failed.
+fn journal_failed_json(failed: &JournalFailed) -> Json {
+    error("journal_failed", &failed.to_string())
+}
+
+/// `reply`, unless the journal has failed — by the end of this op's
+/// commit at the latest — in which case the op answers `journal_failed`.
+fn committed(service: &Service, reply: Json) -> Json {
+    match service.journal_failure() {
+        Some(failed) => journal_failed_json(&failed),
+        None => reply,
     }
 }
 
@@ -319,6 +337,8 @@ fn metrics_json(m: &MetricsSnapshot) -> Json {
         ),
         ("lost_work_s", Json::Num(m.lost_work_s)),
         ("frames_rejected", Json::Num(m.frames_rejected as f64)),
+        ("journal_records", Json::Num(m.journal_records as f64)),
+        ("journal_commits", Json::Num(m.journal_commits as f64)),
     ])
 }
 

@@ -20,7 +20,7 @@
 //! through the pure transition functions of
 //! [`ServiceState`](crate::state::ServiceState) — this module only
 //! decides *when* to call them (engine polls, harvests, wall-clock
-//! back-off gates) and owns the side effects (journal fsyncs,
+//! back-off gates) and owns the side effects (journal writes and commits,
 //! condition-variable wakeups, simulation accounting). The `corun-mc`
 //! model checker exhaustively explores the same transition functions at
 //! small scope, so its proofs are about the code running here. See
@@ -96,7 +96,8 @@ pub struct ServiceConfig {
     /// (`None` = no faults). Parsed from `@chaos` spec directives.
     pub fault_plan: Option<FaultPlan>,
     /// Append-only journal path; every admission, dispatch, completion,
-    /// requeue, dead-letter, and eviction is durably logged there.
+    /// requeue, dead-letter, and eviction is logged there and committed
+    /// before the reply that reports it (`docs/FAULTS.md`).
     pub journal_path: Option<std::path::PathBuf>,
     /// Replay an existing journal at `journal_path` on startup instead of
     /// truncating it: done work stays done, in-flight work is re-queued.
@@ -168,6 +169,32 @@ pub enum SubmitError {
     },
     /// The service is shutting down and no longer accepts work.
     ShuttingDown,
+    /// The journal failed, so nothing new can be made durable. Returned
+    /// by the submission whose commit failed — whose jobs are withdrawn
+    /// — and by every submission after it, keyed dedup hits included.
+    JournalFailed(JournalFailed),
+}
+
+/// The fail-stop state of a journaled daemon: it has a journal path but
+/// no healthy journal (a write or commit failed, or the journal could
+/// not be created or reopened). It refuses every admission and every
+/// committing reply until restarted with `--recover`; the reason is also
+/// in the `SRV007` chaos diagnostics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct JournalFailed {
+    /// What failed, e.g. `journal write failed: No space left on device`.
+    pub reason: String,
+}
+
+impl JournalFailed {
+    const CONSEQUENCE: &'static str =
+        "the daemon admits nothing until restarted (--recover keeps its jobs)";
+}
+
+impl std::fmt::Display for JournalFailed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "SRV007 {}; {}", self.reason, Self::CONSEQUENCE)
+    }
 }
 
 impl std::fmt::Display for SubmitError {
@@ -183,6 +210,7 @@ impl std::fmt::Display for SubmitError {
                 write!(f, "no cap-feasible level for: {}", names.join(", "))
             }
             SubmitError::ShuttingDown => write!(f, "service is shutting down"),
+            SubmitError::JournalFailed(e) => e.fmt(f),
         }
     }
 }
@@ -254,6 +282,12 @@ pub struct MetricsSnapshot {
     pub lost_work_s: f64,
     /// Oversized protocol frames rejected by the TCP front-end.
     pub frames_rejected: usize,
+    /// Journal records this incarnation wrote after opening the journal
+    /// (the header of a fresh journal is not counted).
+    pub journal_records: u64,
+    /// Journal commits (`sync_data` calls) this incarnation made: about
+    /// one per committing reply, not one per record.
+    pub journal_commits: u64,
 }
 
 struct Inner {
@@ -288,7 +322,10 @@ struct Inner {
     cap_violations: usize,
     cap_samples: usize,
     worker_error: Option<String>,
-    journal: Option<Journal>,
+    journal: JournalSlot,
+    /// Records written and commits made by this incarnation.
+    journal_records: u64,
+    journal_commits: u64,
     /// Runtime fault diagnostics (`SRV0xx`), capped so a pathological
     /// plan cannot grow memory without bound.
     chaos: Report,
@@ -323,6 +360,15 @@ struct Inner {
     /// admitted, so retried RPCs are idempotent. Rebuilt from job names
     /// on recovery (keys double as job names in `Record::Accept`).
     names: HashMap<String, JobId>,
+}
+
+/// The daemon's journal.
+enum JournalSlot {
+    /// No `journal_path`: nothing is journaled.
+    Off,
+    Open(Journal),
+    /// Fail-stop: see [`JournalFailed`].
+    Failed(JournalFailed),
 }
 
 struct Shared {
@@ -376,7 +422,9 @@ impl Service {
             cap_violations: 0,
             cap_samples: 0,
             worker_error: None,
-            journal: None,
+            journal: JournalSlot::Off,
+            journal_records: 0,
+            journal_commits: 0,
             chaos: Report::new(),
             lost_work_s: 0.0,
             frames_rejected: 0,
@@ -440,29 +488,38 @@ impl Service {
     /// settings (the sim applies frequency settings at dispatch). Used by
     /// the fleet coordinator to push rebalanced shard budgets.
     ///
+    /// A daemon whose journal failed refuses the change, and so does the
+    /// call whose commit fails: `Err` always means the old cap still
+    /// holds, which is what a coordinator keeps on its books.
+    ///
     /// # Panics
     ///
     /// Panics if `cap_w` is non-positive or non-finite.
-    pub fn set_cap_w(&self, cap_w: f64) {
+    pub fn set_cap_w(&self, cap_w: f64) -> Result<(), JournalFailed> {
         assert!(
             cap_w.is_finite() && cap_w > 0.0,
             "cap must be finite and positive, got {cap_w}"
         );
         let mut inner = self.lock();
-        if (inner.cap_w - cap_w).abs() < f64::EPSILON {
-            return;
+        inner.journal_healthy()?;
+        let old = inner.cap_w;
+        if (old - cap_w).abs() < f64::EPSILON {
+            return inner.commit();
         }
-        inner.cap_w = cap_w;
-        let (model, policy) = inner.model_and_policy();
-        policy.set_cap_w(model, cap_w);
+        inner.set_cap(cap_w);
         // The cap feeds the dispatcher's feasibility decisions, so replay
         // must see it at the same point in the event order.
         inner.journal_append(&Record::CapChange { cap_w });
         inner.push_metrics_point();
         inner.maybe_snapshot(false);
+        if let Err(e) = inner.commit() {
+            inner.set_cap(old);
+            return Err(e);
+        }
         // A raised cap can make previously-declined queue entries
         // dispatchable: wake any parked workers to re-poll.
         self.shared.work_cv.notify_all();
+        Ok(())
     }
 
     /// Submit a workload spec fragment (one or more `name [xSCALE]
@@ -529,84 +586,62 @@ impl Service {
         dedup_key: Option<&str>,
     ) -> Result<Vec<JobId>, SubmitError> {
         let mut inner = self.lock();
+        // The fail-stop state admits nothing, keyed dedup hits included:
+        // no reply may claim durable state the journal can no longer keep.
+        inner
+            .journal_healthy()
+            .map_err(SubmitError::JournalFailed)?;
         // Keyed dedup must win over every other refusal: a retried RPC
         // whose first attempt landed must get the same answer back even
         // if the queue has since filled or shutdown began.
-        if let Some(key) = dedup_key {
-            if let Some(&id) = inner.names.get(key) {
-                return Ok(vec![id]);
+        let hit = dedup_key.and_then(|key| inner.names.get(key).copied());
+        let admitted = match hit {
+            Some(id) => Ok(vec![id]),
+            None => inner.admit_fresh(self.shared.cfg.queue_capacity, &jobs, &origin),
+        };
+        // The op's one commit, on every path, before its reply.
+        if let Err(e) = inner.commit() {
+            if let (None, Ok(ids)) = (hit, &admitted) {
+                // The reply says "not admitted", so this incarnation must
+                // not run the jobs either.
+                for &id in ids {
+                    inner.st.reject(id).expect("accepted under this lock hold");
+                }
             }
+            return Err(SubmitError::JournalFailed(e));
         }
-        if inner.st.shutdown {
-            return Err(SubmitError::ShuttingDown);
-        }
-        let queued = inner.st.queue.len();
-        let capacity = self.shared.cfg.queue_capacity;
-        if queued + jobs.len() > capacity {
-            inner.refused += jobs.len();
-            return Err(SubmitError::QueueFull {
-                // The sim drains in wall-clock bursts, so a short,
-                // depth-scaled hint beats pretending to know drain speed.
-                retry_after_s: 0.05 * (queued + 1) as f64,
-                capacity,
-                queued,
-            });
-        }
-        // Profile into the model first so feasibility is checked against
-        // the exact ladders the dispatcher will use. The whole batch is
-        // admitted under one lock hold, so the intermediate states are
-        // never observable.
-        let cap = inner.cap_w;
-        let mut ids = Vec::with_capacity(jobs.len());
-        let mut infeasible = Vec::new();
-        for (job, (program, scale)) in jobs.iter().zip(&origin) {
-            let id = inner.model.push_job(job);
-            let (model, policy) = inner.model_and_policy();
-            policy.admit_job(model, id);
-            let (state_id, rec) = inner
-                .st
-                .accept(&job.name, program, *scale)
-                .expect("admission checked open above");
-            debug_assert_eq!(state_id, id, "model and state ids must align");
-            inner.gates.push(None);
-            inner.journal_append(&rec);
-            if Device::ALL
-                .iter()
-                .all(|&d| best_solo_run(&inner.model, id, d, cap).is_none())
-            {
-                infeasible.push(job.name.clone());
+        if let (None, Ok(ids)) = (hit, &admitted) {
+            if let Some(key) = dedup_key {
+                debug_assert_eq!(ids.len(), 1, "keyed submissions are single-job");
+                inner.names.insert(key.to_string(), ids[0]);
             }
-            ids.push(id);
+            self.shared.work_cv.notify_all();
         }
-        if !infeasible.is_empty() {
-            // The model is append-only, so the profiled entries stay, but
-            // none of this submission reaches the queue.
-            for &id in &ids {
-                let rec = inner.st.reject(id).expect("accepted just above");
-                inner.journal_append(&rec);
-            }
-            return Err(SubmitError::Infeasible { names: infeasible });
-        }
-        if let Some(key) = dedup_key {
-            debug_assert_eq!(ids.len(), 1, "keyed submissions are single-job");
-            inner.names.insert(key.to_string(), ids[0]);
-        }
-        inner.push_metrics_point();
-        inner.maybe_snapshot(false);
-        self.shared.work_cv.notify_all();
-        Ok(ids)
+        admitted
     }
 
-    /// Status of one job, `None` for unknown ids.
+    /// Status of one job, `None` for unknown ids. Like every reply that
+    /// reports job state, it commits the journal before returning, so a
+    /// state it reports survives a power cut; a failed commit shows up in
+    /// [`Service::journal_failure`].
     pub fn job_status(&self, id: JobId) -> Option<JobStatus> {
-        let inner = self.lock();
-        inner.st.jobs.get(id).map(|j| JobStatus {
+        let mut inner = self.lock();
+        let status = inner.st.jobs.get(id).map(|j| JobStatus {
             id,
             name: j.name.clone(),
             state: j.state.clone(),
             dispatches: j.dispatches,
             retries: j.retries,
-        })
+        });
+        let _ = inner.commit();
+        status
+    }
+
+    /// Why the journal failed, once it has: the daemon then admits
+    /// nothing and the protocol answers every committing op with
+    /// `journal_failed`. `None` while the journal is healthy or off.
+    pub fn journal_failure(&self) -> Option<JournalFailed> {
+        self.lock().journal_healthy().err()
     }
 
     /// Number of jobs the service has ever seen (valid ids are `0..len`).
@@ -614,7 +649,9 @@ impl Service {
         self.lock().st.jobs.len()
     }
 
-    /// A point-in-time metrics snapshot.
+    /// A point-in-time metrics snapshot. Advisory: it does not commit,
+    /// so a poll never pays an fsync (nor does [`Service::watch`] or
+    /// [`Service::chaos_report`]).
     pub fn metrics(&self) -> MetricsSnapshot {
         let inner = self.lock();
         let util = (0..self.shared.cfg.machines)
@@ -653,6 +690,8 @@ impl Service {
             machines_down: inner.st.machines.iter().map(|m| m.down).collect(),
             lost_work_s: inner.lost_work_s,
             frames_rejected: inner.frames_rejected,
+            journal_records: inner.journal_records,
+            journal_commits: inner.journal_commits,
         }
     }
 
@@ -696,6 +735,7 @@ impl Service {
                     dispatches: job.dispatches,
                     retries: job.retries,
                 };
+                let _ = inner.commit();
                 return Some(status);
             }
             inner = self.shared.done_cv.wait(inner).expect("service lock");
@@ -715,6 +755,7 @@ impl Service {
                     .filter(|j| matches!(j.state, JobState::Running { .. }))
                     .count();
             if active == 0 || inner.workers_alive == 0 {
+                let _ = inner.commit();
                 return;
             }
             inner = self.shared.done_cv.wait(inner).expect("service lock");
@@ -729,6 +770,9 @@ impl Service {
             inner.st.begin_shutdown();
             inner.journal_append(&Record::ShutdownBegin);
         }
+        // Shutdown goes ahead even in the fail-stop state; a failure
+        // shows up in `journal_failure`.
+        let _ = inner.commit();
         self.shared.work_cv.notify_all();
     }
 
@@ -760,12 +804,15 @@ impl Service {
         let mut inner = self.lock();
         inner.push_metrics_point();
         inner.maybe_snapshot(true);
+        let _ = inner.commit();
     }
 
     /// The FNV-1a fingerprint of the current pure state — the identity
     /// `corun replay` reproduces bit-for-bit from the journal.
     pub fn state_fingerprint(&self) -> u64 {
-        self.lock().st.fingerprint()
+        let mut inner = self.lock();
+        let _ = inner.commit();
+        inner.st.fingerprint()
     }
 
     /// Metrics-ring points newer than `cursor` plus the next cursor to
@@ -814,6 +861,8 @@ fn boot_nonce() -> u64 {
 /// asked and possible, create-fresh otherwise. Any recovery problem is
 /// reported (SRV007/SRV009) and recovery abandoned wholesale — a partial
 /// replay could mis-align job ids, which is worse than starting clean.
+/// A journal that cannot be created, reopened or moved out of the way
+/// leaves the daemon in the fail-stop state.
 fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
     let Some(path) = &cfg.journal_path else {
         return;
@@ -877,30 +926,16 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
         // Starting fresh must not truncate a refused journal: move it
         // aside first and name where it went in every error.
         let aside = if ok { Ok(None) } else { set_aside(path) };
-        match &aside {
-            Ok(None) => {}
-            Ok(Some(kept)) => {
-                for d in &mut report.diagnostics {
-                    if d.severity == Severity::Error {
-                        d.message = format!(
-                            "{}; the refused journal is kept at {}",
-                            d.message,
-                            kept.display()
-                        );
-                    }
+        if let Ok(Some(kept)) = &aside {
+            for d in &mut report.diagnostics {
+                if d.severity == Severity::Error {
+                    d.message = format!(
+                        "{}; the refused journal is kept at {}",
+                        d.message,
+                        kept.display()
+                    );
                 }
             }
-            Err(e) => report.push(
-                Diagnostic::new(
-                    Code::Srv007,
-                    path.display().to_string(),
-                    format!(
-                        "cannot move the refused journal aside: {e}; \
-                         journaling disabled so it is not overwritten"
-                    ),
-                )
-                .with_severity(Severity::Error),
-            ),
         }
         for d in report.diagnostics {
             inner.chaos_push(d);
@@ -917,7 +952,7 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
             inner.epoch = 2 + past_recoveries;
             match Journal::open_append(path, scan.records.len() as u64) {
                 Ok(j) => {
-                    inner.journal = Some(j);
+                    inner.journal = JournalSlot::Open(j);
                     inner.journal_append(&Record::Recovered {
                         jobs: inner.st.jobs.len(),
                         machines: cfg.machines,
@@ -926,19 +961,25 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
                     // `recovered` record named every job, so this
                     // snapshot is full.
                     inner.maybe_snapshot(true);
+                    // A failure enters the fail-stop state; no reply
+                    // waits on this commit.
+                    let _ = inner.commit();
                 }
-                Err(e) => inner.chaos_push(
-                    Diagnostic::new(
-                        Code::Srv007,
+                Err(e) => {
+                    inner.journal_fail(
                         path.display().to_string(),
                         format!("cannot reopen journal for appending: {e}"),
-                    )
-                    .with_severity(Severity::Error),
-                ),
+                    );
+                }
             }
             return;
         }
-        if aside.is_err() {
+        if let Err(e) = aside {
+            // Creating a fresh journal would truncate the refused one.
+            inner.journal_fail(
+                path.display().to_string(),
+                format!("cannot move the refused journal aside: {e}; it is left in place"),
+            );
             return;
         }
     }
@@ -947,15 +988,13 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
         machines: cfg.machines,
     };
     match Journal::create(path, &meta) {
-        Ok(j) => inner.journal = Some(j),
-        Err(e) => inner.chaos_push(
-            Diagnostic::new(
-                Code::Srv007,
+        Ok(j) => inner.journal = JournalSlot::Open(j),
+        Err(e) => {
+            inner.journal_fail(
                 path.display().to_string(),
                 format!("cannot create journal: {e}"),
-            )
-            .with_severity(Severity::Error),
-        ),
+            );
+        }
     }
 }
 
@@ -1039,25 +1078,132 @@ impl Inner {
         (&self.model, &mut self.policy)
     }
 
-    /// Durably journal one record; a write failure disables journaling
-    /// (running degraded beats dying) and is reported as an SRV007 error.
+    /// Switch the live cap for the policy, the admission feasibility
+    /// check and cap-violation accounting.
+    fn set_cap(&mut self, cap_w: f64) {
+        self.cap_w = cap_w;
+        let (model, policy) = self.model_and_policy();
+        policy.set_cap_w(model, cap_w);
+    }
+
+    /// Admit a submission that is not a keyed dedup hit: refuse it
+    /// outright (shutdown, queue full), or profile and accept every job
+    /// and queue them all unless one is infeasible under the cap.
+    fn admit_fresh(
+        &mut self,
+        capacity: usize,
+        jobs: &[JobSpec],
+        origin: &[(String, f64)],
+    ) -> Result<Vec<JobId>, SubmitError> {
+        if self.st.shutdown {
+            return Err(SubmitError::ShuttingDown);
+        }
+        let queued = self.st.queue.len();
+        if queued + jobs.len() > capacity {
+            self.refused += jobs.len();
+            return Err(SubmitError::QueueFull {
+                // The sim drains in wall-clock bursts, so a short,
+                // depth-scaled hint beats pretending to know drain speed.
+                retry_after_s: 0.05 * (queued + 1) as f64,
+                capacity,
+                queued,
+            });
+        }
+        // Profile into the model first so feasibility is checked against
+        // the exact ladders the dispatcher will use. The whole batch is
+        // admitted under one lock hold, so the intermediate states are
+        // never observable.
+        let cap = self.cap_w;
+        let mut ids = Vec::with_capacity(jobs.len());
+        let mut infeasible = Vec::new();
+        for (job, (program, scale)) in jobs.iter().zip(origin) {
+            let id = self.model.push_job(job);
+            let (model, policy) = self.model_and_policy();
+            policy.admit_job(model, id);
+            let (state_id, rec) = self
+                .st
+                .accept(&job.name, program, *scale)
+                .expect("admission checked open above");
+            debug_assert_eq!(state_id, id, "model and state ids must align");
+            self.gates.push(None);
+            self.journal_append(&rec);
+            if Device::ALL
+                .iter()
+                .all(|&d| best_solo_run(&self.model, id, d, cap).is_none())
+            {
+                infeasible.push(job.name.clone());
+            }
+            ids.push(id);
+        }
+        if !infeasible.is_empty() {
+            // The model is append-only, so the profiled entries stay, but
+            // none of this submission reaches the queue.
+            for &id in &ids {
+                let rec = self.st.reject(id).expect("accepted just above");
+                self.journal_append(&rec);
+            }
+            return Err(SubmitError::Infeasible { names: infeasible });
+        }
+        self.push_metrics_point();
+        self.maybe_snapshot(false);
+        Ok(ids)
+    }
+
+    /// Write one record. It is not durable until the next
+    /// [`Inner::commit`]. A failed write enters the fail-stop state.
     fn journal_append(&mut self, record: &Record) {
-        let Some(journal) = self.journal.as_mut() else {
+        let JournalSlot::Open(journal) = &mut self.journal else {
             return;
         };
         self.touched.extend(record.touched_jobs());
-        if let Err(e) = journal.append(record) {
-            let loc = journal.path().display().to_string();
-            self.journal = None;
-            self.chaos_push(
-                Diagnostic::new(
-                    Code::Srv007,
-                    loc,
-                    format!("journal write failed: {e}; journaling disabled"),
-                )
-                .with_severity(Severity::Error),
-            );
+        match journal.write(record) {
+            Ok(()) => self.journal_records += 1,
+            Err(e) => {
+                let loc = journal.path().display().to_string();
+                self.journal_fail(loc, format!("journal write failed: {e}"));
+            }
         }
+    }
+
+    /// The commit point: make every record written so far durable before
+    /// the reply that depends on them goes out. Each client-facing op
+    /// calls it once, at its end; workers never do — their `dispatch`
+    /// and `done` records ride along with the next reply's commit. A
+    /// failed commit enters the fail-stop state and is never retried.
+    fn commit(&mut self) -> Result<(), JournalFailed> {
+        let JournalSlot::Open(journal) = &mut self.journal else {
+            return self.journal_healthy();
+        };
+        match journal.commit() {
+            Ok(synced) => {
+                self.journal_commits += u64::from(synced);
+                Ok(())
+            }
+            Err(e) => {
+                let loc = journal.path().display().to_string();
+                Err(self.journal_fail(loc, format!("journal commit failed: {e}")))
+            }
+        }
+    }
+
+    /// `Err` in the fail-stop state.
+    fn journal_healthy(&self) -> Result<(), JournalFailed> {
+        match &self.journal {
+            JournalSlot::Failed(e) => Err(e.clone()),
+            JournalSlot::Off | JournalSlot::Open(_) => Ok(()),
+        }
+    }
+
+    /// Enter the fail-stop state and report it as an SRV007 error. It
+    /// happens at most once per incarnation, so the diagnostic bypasses
+    /// the chaos-report bound.
+    fn journal_fail(&mut self, loc: String, reason: String) -> JournalFailed {
+        let message = format!("{reason}; {}", JournalFailed::CONSEQUENCE);
+        self.chaos
+            .push(Diagnostic::new(Code::Srv007, loc, message).with_severity(Severity::Error));
+        let failed = JournalFailed { reason };
+        self.journal = JournalSlot::Failed(failed.clone());
+        failed
     }
 
     /// Sample the live state into the metrics ring: queue depth, power
@@ -1100,7 +1246,7 @@ impl Inner {
     /// the jobs named since the previous one; its fingerprint covers the
     /// whole state.
     fn maybe_snapshot(&mut self, force: bool) {
-        let Some(journal) = self.journal.as_ref() else {
+        let JournalSlot::Open(journal) = &self.journal else {
             return;
         };
         let seq = journal.seq();
@@ -1117,7 +1263,7 @@ impl Inner {
             state: encode_state(&self.st, self.touched.drain(..)),
         };
         self.journal_append(&record);
-        if let Some(journal) = self.journal.as_ref() {
+        if let JournalSlot::Open(journal) = &self.journal {
             self.last_snapshot_seq = journal.seq();
         }
     }
@@ -1961,6 +2107,113 @@ mod tests {
         );
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(refused).ok();
+    }
+
+    /// A journaled two-machine daemon with `plain` single-job submits and
+    /// one keyed submit acknowledged, all run to completion. Completion is
+    /// watched through `metrics`, which never commits, so the last jobs'
+    /// `dispatch`/`done` records are written but not yet committed.
+    fn journaled_with_pending_records(path: &Path, plain: usize) -> (Service, Vec<JobId>) {
+        let mut cfg = tiny_cfg(64);
+        cfg.machines = 2;
+        cfg.journal_path = Some(path.to_path_buf());
+        let svc = Service::start(cfg);
+        let mut acked = Vec::new();
+        for _ in 0..plain {
+            acked.extend(svc.submit_spec("srad x0.1\n").unwrap());
+        }
+        acked.extend(svc.submit_spec_keyed("lud x0.1\n", "k1").unwrap());
+        while svc.metrics().completed < acked.len() {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        (svc, acked)
+    }
+
+    fn break_journal(svc: &Service) {
+        match &mut svc.lock().journal {
+            JournalSlot::Open(journal) => journal.break_with_dev_full(),
+            _ => panic!("the journal is not open"),
+        }
+    }
+
+    fn assert_refuses_admissions(svc: &Service) {
+        for r in [
+            svc.submit_spec("srad x0.1\n"),
+            svc.submit_spec_keyed("lud x0.1\n", "k1"),
+            svc.submit_spec_keyed("lud x0.1\n", "k2"),
+        ] {
+            assert!(matches!(r, Err(SubmitError::JournalFailed(_))), "{r:?}");
+        }
+        assert!(svc.set_cap_w(20.0).is_err(), "a refused cap change");
+        assert!((svc.cap_w() - 15.0).abs() < 1e-9, "the old cap holds");
+        let chaos = svc.chaos_report();
+        assert_eq!(chaos.count(Code::Srv007), 1, "{}", chaos.render_human());
+        assert!(chaos.has_errors());
+    }
+
+    /// Recover the file the failed daemon left and check no acknowledged
+    /// job is missing and the keyed one still deduplicates.
+    fn recover_keeps_every_ack(path: &Path, acked: &[JobId]) {
+        let mut cfg = tiny_cfg(64);
+        cfg.machines = 2;
+        cfg.journal_path = Some(path.to_path_buf());
+        cfg.recover = true;
+        let svc = Service::start(cfg);
+        assert!(svc.journal_failure().is_none());
+        assert!(
+            !svc.chaos_report().has_errors(),
+            "{}",
+            svc.chaos_report().render_human()
+        );
+        for &id in acked {
+            let st = svc.wait_job(id).expect("an acknowledged job is missing");
+            assert!(matches!(st.state, JobState::Done { .. }), "{st:?}");
+        }
+        let k1 = *acked.last().unwrap();
+        assert_eq!(svc.submit_spec_keyed("lud x0.1\n", "k1").unwrap(), vec![k1]);
+        svc.shutdown();
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn failed_commit_fails_its_op_and_stops_admissions() {
+        let path = temp_journal("commit-fails");
+        let (svc, acked) = journaled_with_pending_records(&path, 5);
+        let before = svc.metrics();
+        assert!(before.journal_records > before.journal_commits);
+        break_journal(&svc);
+        // A keyed dedup hit writes nothing, so its commit is the first
+        // call to touch the broken disk: fdatasync fails with EINVAL.
+        match svc.submit_spec_keyed("lud x0.1\n", "k1") {
+            Err(SubmitError::JournalFailed(e)) => {
+                assert!(e.reason.contains("commit failed"), "{e}");
+                assert!(e.to_string().contains("SRV007"), "{e}");
+            }
+            other => panic!("expected a journal failure, got {other:?}"),
+        }
+        assert_refuses_admissions(&svc);
+        assert_eq!(svc.metrics().journal_commits, before.journal_commits);
+        svc.shutdown();
+        drop(svc);
+        recover_keeps_every_ack(&path, &acked);
+    }
+
+    #[test]
+    fn failed_write_withdraws_the_submit_and_stops_admissions() {
+        let path = temp_journal("write-fails");
+        let (svc, acked) = journaled_with_pending_records(&path, 3);
+        break_journal(&svc);
+        // The accept write fails with ENOSPC; the reply is an error, so
+        // the job it admitted in memory is withdrawn, not run.
+        let next = svc.job_count();
+        let err = svc.submit_spec("hotspot x0.1\n").unwrap_err();
+        assert!(matches!(err, SubmitError::JournalFailed(_)), "{err:?}");
+        assert!(err.to_string().contains("write failed"), "{err}");
+        assert_eq!(svc.job_status(next).unwrap().state, JobState::Rejected);
+        assert_refuses_admissions(&svc);
+        svc.shutdown();
+        drop(svc);
+        recover_keeps_every_ack(&path, &acked);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! dispatching a job that is not queued) returns a [`TransitionError`]
 //! and leaves the state untouched. Every legal transition returns the
 //! journal [`Record`]s that make it durable; callers append them (the
-//! daemon to the fsync'd journal, the model checker to its in-memory
+//! daemon to its write-ahead journal, the model checker to its in-memory
 //! journal whose replay it cross-checks).
 //!
 //! [`ServiceState::check_invariants`] states the safety properties as

@@ -3,10 +3,17 @@
 //! fleetlog (`corun_fleet::fleetlog`).
 //!
 //! A log is one JSON record per line, headed by a versioned record. This
-//! module owns the record-agnostic half: the one durable writer
-//! ([`Journal`]), the one reader ([`scan`]) and the one tail repair
-//! ([`repair_tail`]). Each log supplies only its vocabulary, as a
-//! [`LineRecord`] implementation.
+//! module owns the record-agnostic half: the one writer ([`Journal`]),
+//! the one reader ([`scan`]) and the one tail repair ([`repair_tail`]).
+//! Each log supplies only its vocabulary, as a [`LineRecord`]
+//! implementation.
+//!
+//! The writer has a commit point. Records go into the file as they
+//! happen ([`Journal::write`]); one `sync_data` at [`Journal::commit`]
+//! makes all of them durable. The owner commits just before a reply that
+//! depends on the records, so the fsync count follows replies, not
+//! records, and the write-ahead rule holds: nothing a reply reports is
+//! lost to a power cut once the reply is out.
 //!
 //! The scan has one torn-tail rule (`docs/FAULTS.md`): a malformed
 //! *final* line is the write a crash interrupted — a warning, excluded
@@ -37,13 +44,24 @@ pub trait LineRecord: Sized {
     fn header_version(&self) -> Option<u32>;
 }
 
-/// An open log file. Every append writes the line and its `\n` in one
-/// `write_all`, then flushes and `sync_data`s before returning, so a
-/// record the caller has seen committed survives `kill -9`.
+/// An open log file with a commit point. [`Journal::write`] puts one
+/// record in the file — the line and its `\n` in one `write_all` — and
+/// does not sync; [`Journal::commit`] makes everything written since the
+/// last commit durable with one `sync_data`. A `kill -9` loses nothing
+/// written (the bytes are in the kernel), so it still leaves a prefix
+/// ending on a record boundary plus at most one torn line; a power loss
+/// may lose the records written after the last commit, never one before
+/// it. Callers commit before any reply that depends on their records.
+///
+/// A failed write or commit is final: the kernel may already have
+/// dropped the dirty pages, so a later `sync_data` that succeeds proves
+/// nothing. Callers stop using the journal after the first error.
 pub struct Journal {
     file: File,
     path: PathBuf,
     seq: u64,
+    /// `seq` at the last commit: every record below it is durable.
+    committed: u64,
 }
 
 impl Journal {
@@ -65,6 +83,7 @@ impl Journal {
             file,
             path: path.to_path_buf(),
             seq: 0,
+            committed: 0,
         })
     }
 
@@ -77,26 +96,56 @@ impl Journal {
             file,
             path: path.to_path_buf(),
             seq,
+            committed: seq,
         })
     }
 
-    /// Durably append one record.
+    /// Write one record without syncing; the next [`Journal::commit`]
+    /// makes it durable.
+    pub fn write<R: LineRecord>(&mut self, record: &R) -> io::Result<()> {
+        self.write_line(record.to_json())
+    }
+
+    /// Make every record written since the last commit durable: one
+    /// `sync_data`, or nothing at all when nothing was written. Returns
+    /// whether it synced.
+    pub fn commit(&mut self) -> io::Result<bool> {
+        if self.committed == self.seq {
+            return Ok(false);
+        }
+        self.file.sync_data()?;
+        self.committed = self.seq;
+        Ok(true)
+    }
+
+    /// Durably append one record: write, then commit.
     pub fn append<R: LineRecord>(&mut self, record: &R) -> io::Result<()> {
-        self.commit(record.to_json())
+        self.write(record)?;
+        self.commit().map(drop)
     }
 
     /// Durably append one pre-rendered line (no trailing newline).
     pub fn append_line(&mut self, line: &str) -> io::Result<()> {
-        self.commit(line.to_owned())
+        self.write_line(line.to_owned())?;
+        self.commit().map(drop)
     }
 
-    fn commit(&mut self, mut line: String) -> io::Result<()> {
+    fn write_line(&mut self, mut line: String) -> io::Result<()> {
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        self.file.sync_data()?;
         self.seq += 1;
         Ok(())
+    }
+
+    /// Swap the file handle for `/dev/full`, where a write fails with
+    /// `ENOSPC` and `fdatasync` with `EINVAL`: an injected disk failure
+    /// for the fail-stop tests.
+    #[cfg(test)]
+    pub(crate) fn break_with_dev_full(&mut self) {
+        self.file = OpenOptions::new()
+            .write(true)
+            .open("/dev/full")
+            .expect("open /dev/full");
     }
 
     /// Records written to the file so far (the index the next record
@@ -485,6 +534,46 @@ mod tests {
         assert_eq!(scan.report.count(Code::Srv007), 1);
         assert_eq!(scan.records, vec![HEAD, Rec::Note { n: 1 }]);
         assert_eq!(scan.valid_len, std::fs::metadata(&path).unwrap().len());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn power_loss_keeps_exactly_the_committed_records() {
+        let path = temp_path("commit");
+        let mut j = Journal::create(&path, &HEAD).unwrap();
+        assert!(!j.commit().unwrap(), "the header is already durable");
+        for n in 0..3 {
+            j.write(&Rec::Note { n }).unwrap();
+        }
+        assert!(j.commit().unwrap(), "one sync covers the batch");
+        assert!(!j.commit().unwrap(), "nothing new: no sync");
+        let committed = std::fs::metadata(&path).unwrap().len();
+        for n in 3..5 {
+            j.write(&Rec::Note { n }).unwrap();
+        }
+        assert_eq!(j.seq(), 6);
+        drop(j);
+        // A kill -9 keeps every written record...
+        assert_eq!(scan_rec(&path).records.len(), 6);
+        // ...a power cut may drop the uncommitted ones, never the rest.
+        let f = OpenOptions::new().write(true).open(&path).unwrap();
+        f.set_len(committed).unwrap();
+        let scan = scan_rec(&path);
+        assert!(scan.report.is_empty(), "{}", scan.report.render_human());
+        let mut want = vec![HEAD];
+        want.extend((0..3).map(|n| Rec::Note { n }));
+        assert_eq!(scan.records, want);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_disk_fails_the_write_and_the_commit() {
+        let path = temp_path("dev-full");
+        let mut j = Journal::create(&path, &HEAD).unwrap();
+        j.write(&Rec::Note { n: 0 }).unwrap();
+        j.break_with_dev_full();
+        assert!(j.commit().is_err(), "fdatasync on /dev/full fails");
+        assert!(j.write(&Rec::Note { n: 1 }).is_err(), "writes hit ENOSPC");
         std::fs::remove_file(&path).ok();
     }
 

@@ -383,7 +383,7 @@ impl Code {
             Code::Srv004 => "straggler slowdowns are recorded, not silently absorbed",
             Code::Srv005 => "power-meter disturbances are visible in the diagnostics stream",
             Code::Srv006 => "jobs that exhaust retries surface as dead-letter, never vanish",
-            Code::Srv007 => "the service journal parses under its declared format version",
+            Code::Srv007 => "the service journal parses under its declared format version and keeps every acknowledged reply durable",
             Code::Srv008 => "protocol frames stay within the configured size bound",
             Code::Srv009 => "journal replay reconstructs a consistent service state",
             Code::Srv010 => {
@@ -414,7 +414,7 @@ impl Code {
             Code::Flt006 => "transport and circuit-breaker parameters are workable",
             Code::Flt007 => "circuit-breaker opens are visible in the diagnostics stream",
             Code::Flt008 => "replies from stale shard incarnations are fenced, never folded",
-            Code::Flt009 => "the fleet journal parses under its declared format version",
+            Code::Flt009 => "the fleet journal parses under its declared format version and keeps every admission durable",
             Code::Srv011 => {
                 "scheduling decisions read time and randomness only through injected sources"
             }
