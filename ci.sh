@@ -435,6 +435,16 @@ awk '/^jobs:/ {
     total = $2; sum = $5 + $8 + $11
     if (sum != total) { print "FAIL: books do not balance: " $0; exit 1 }
 }' "$FLEET_LOG"
+# Exactly-once admission over TCP: the shards' `submitted` counts sum to
+# the jobs the fleet folded terminal (done + dead-letter).
+awk '/^jobs:/ { folded = $5 + $8 }
+/^shard [0-9]+:/ { admitted += $5 }
+END {
+    if (admitted != folded) {
+        print "FAIL: shards admitted " admitted " jobs but the fleet folded " folded
+        exit 1
+    }
+}' "$FLEET_LOG"
 
 # The cap invariant must have held for the whole run: the peak hand-out
 # never exceeds the cluster cap.
@@ -547,6 +557,14 @@ grep -q '^net: ' "$RECOVER_LOG" || {
 awk '/^jobs:/ {
     total = $2; sum = $5 + $8 + $11
     if (sum != total) { print "FAIL: recovered books do not balance: " $0; exit 1 }
+}' "$RECOVER_LOG"
+awk '/^jobs:/ { folded = $5 + $8 }
+/^shard [0-9]+:/ { admitted += $5 }
+END {
+    if (admitted != folded) {
+        print "FAIL: shards admitted " admitted " jobs but the recovered fleet folded " folded
+        exit 1
+    }
 }' "$RECOVER_LOG"
 awk '/^power:/ {
     cluster = $4; peak = $12

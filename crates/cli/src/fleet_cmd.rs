@@ -286,7 +286,8 @@ fn drain_with_progress(fleet: &mut Fleet, timeout_s: f64) -> Result<FleetMetrics
         let folded = fleet.pump();
         let m = fleet.metrics();
         if m.drained() {
-            return Ok(m);
+            fleet.refresh();
+            return Ok(fleet.metrics());
         }
         // corun-lint: allow(wall-clock) — operator-facing drain deadline, an I/O edge.
         let now = std::time::Instant::now();

@@ -466,10 +466,10 @@ impl Fleet {
     }
 
     /// The fleetlog's commit point: one fsync covers every record written
-    /// since the last. It runs before each submit RPC (so the intent is
-    /// durable first), before `submit_spec` returns ids, and once at the
-    /// end of a round. A failed commit stops admissions and is never
-    /// retried.
+    /// since the last. It runs before each shard's submit batch (so its
+    /// intents are durable first), before `submit_spec` returns ids, and
+    /// once at the end of a round. A failed commit stops admissions and is
+    /// never retried.
     fn log_commit(&mut self) {
         let Some(log) = &mut self.log else { return };
         if let Err(e) = log.commit() {
@@ -583,7 +583,6 @@ impl Fleet {
             self.router
                 .auto_steal(&self.view, self.cfg.steal_threshold, self.cfg.steal_batch);
         self.steals_total += steals.iter().map(|s| s.moved).sum::<usize>();
-        self.resolve_in_doubt();
         self.push_submissions();
         let folded = self.fold_completions();
         if self.cfg.paranoid {
@@ -605,10 +604,7 @@ impl Fleet {
         loop {
             let folded = self.pump();
             if self.router.terminal() == self.router.jobs() {
-                // The fold may have seen completions newer than this
-                // round's poll; refresh so the shard snapshots returned
-                // are no older than the books.
-                self.poll_shards();
+                self.refresh();
                 return Ok(self.metrics());
             }
             // corun-lint: allow(wall-clock) — operator-facing drain deadline, an I/O edge.
@@ -627,6 +623,14 @@ impl Fleet {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
+    }
+
+    /// Poll every shard again. A round's fold can see completions newer
+    /// than the round's own poll, so call this before reporting a drained
+    /// fleet: the shard snapshots in [`Fleet::metrics`] are then no older
+    /// than the books.
+    pub fn refresh(&mut self) {
+        self.poll_shards();
     }
 
     /// Aggregated metrics.
@@ -906,122 +910,125 @@ impl Fleet {
         }
     }
 
+    /// Send each live shard at most one keyed `submit_batch` this round:
+    /// its in-doubt jobs first, then up to `min(submit_burst,
+    /// queue_high_water - queue_depth)` jobs from its backlog. The fresh
+    /// jobs' intents are committed once, before the RPC.
+    ///
+    /// Keyed resubmission settles an in-doubt job: a dedup hit proves the
+    /// original RPC landed (the shard answers with the existing id); a
+    /// fresh accept proves it did not and admits the one and only copy.
+    /// Either way exactly one copy exists, which is the no-double-dispatch
+    /// invariant. An in-doubt job answered any other way stays in doubt.
     fn push_submissions(&mut self) {
         for s in 0..self.cfg.shards {
             if !self.view.alive[s] {
                 continue;
             }
-            let mut queued_estimate = self.metrics_cache[s].queue_depth;
-            for _ in 0..self.cfg.submit_burst {
-                if queued_estimate >= self.cfg.queue_high_water {
-                    break;
-                }
-                let Some(id) = self.router.begin_submit(s) else {
-                    break;
-                };
-                let key = self.router.job(id).key.clone();
-                let spec = self.router.job(id).spec.clone();
-                // Intent is committed *before* the RPC: if the
-                // coordinator dies in between, recovery sees intent
-                // without confirm and resolves the job against this
-                // shard instead of guessing. The commit also covers the
-                // records written since the last one.
-                self.log_rec(&FleetRecord::Intent { id, shard: s });
-                self.log_commit();
-                match self.shards[s].submit(&key, &spec) {
-                    SubmitOutcome::Accepted(local_ids) => {
-                        assert_eq!(
-                            local_ids.len(),
-                            1,
-                            "fleet specs are single-job lines, got {} ids",
-                            local_ids.len()
-                        );
-                        self.router.confirm(id, local_ids[0]);
-                        self.outstanding[s].insert(local_ids[0], id);
-                        self.log_rec(&FleetRecord::Confirm {
-                            id,
-                            shard: s,
-                            local_id: local_ids[0],
-                        });
-                        queued_estimate += 1;
-                    }
-                    SubmitOutcome::Backpressure { .. } => {
-                        self.router.abort(id);
-                        self.log_rec(&FleetRecord::Abort { id });
-                        break;
-                    }
-                    SubmitOutcome::Refused(_) => {
-                        self.router.reject(id);
-                        self.log_rec(&FleetRecord::Rejected { id });
-                    }
-                    SubmitOutcome::Down(_) => {
-                        // Certainly undelivered: safe to re-place.
-                        self.router.abort(id);
-                        self.log_rec(&FleetRecord::Abort { id });
-                        self.view.alive[s] = false;
-                        self.breaker_trip(s);
-                        break;
-                    }
-                    SubmitOutcome::Indeterminate(_) => {
-                        // The request may have landed. Pin the job to
-                        // this shard; `resolve_in_doubt` settles it by
-                        // keyed resubmission.
-                        self.router.mark_in_doubt(id);
-                        self.breaker_trip(s);
-                        break;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Settle in-doubt jobs by resubmitting their key to the pinned
-    /// shard. A dedup hit proves the original RPC landed (the shard
-    /// answers with the existing ids); a fresh accept proves it did not
-    /// and admits the one and only copy. Either way exactly one copy
-    /// exists, which is the no-double-dispatch invariant.
-    fn resolve_in_doubt(&mut self) {
-        for s in 0..self.cfg.shards {
-            if !self.view.alive[s] {
+            let doubt = self.router.in_doubt(s);
+            let room = self.cfg.submit_burst.min(
+                self.cfg
+                    .queue_high_water
+                    .saturating_sub(self.metrics_cache[s].queue_depth),
+            );
+            let fresh: Vec<FleetJobId> = std::iter::from_fn(|| self.router.begin_submit(s))
+                .take(room)
+                .collect();
+            if doubt.is_empty() && fresh.is_empty() {
                 continue;
             }
-            for id in self.router.in_doubt(s) {
-                let key = self.router.job(id).key.clone();
-                let spec = self.router.job(id).spec.clone();
-                match self.shards[s].submit(&key, &spec) {
-                    SubmitOutcome::Accepted(local_ids) => {
-                        assert_eq!(local_ids.len(), 1, "keyed submits are single-job");
-                        self.router.resolve_confirm(id, local_ids[0]);
-                        self.outstanding[s].insert(local_ids[0], id);
-                        self.log_rec(&FleetRecord::Confirm {
-                            id,
-                            shard: s,
-                            local_id: local_ids[0],
-                        });
+            // Intents are committed *before* the RPC: if the coordinator
+            // dies in between, recovery sees intent without confirm and
+            // resolves the job against this shard instead of guessing.
+            // The commit also covers the records written since the last.
+            for &id in &fresh {
+                self.log_rec(&FleetRecord::Intent { id, shard: s });
+            }
+            self.log_commit();
+            let items: Vec<(String, String)> = doubt
+                .iter()
+                .chain(&fresh)
+                .map(|&id| {
+                    let job = self.router.job(id);
+                    (job.key.clone(), job.spec.clone())
+                })
+                .collect();
+            let mut outcomes = self.shards[s].submit_batch(&items).into_iter();
+            let mut down = false;
+            let mut in_doubt = false;
+            for &id in &doubt {
+                match outcomes.next() {
+                    Some(SubmitOutcome::Accepted(local_ids)) => {
+                        let local_id = single_id(&local_ids);
+                        self.router.resolve_confirm(id, local_id);
+                        self.booked(id, s, local_id);
                         // The job may already be terminal on the shard
                         // (it ran while we were partitioned): sweep.
                         self.force_sweep[s] = true;
                     }
-                    SubmitOutcome::Refused(_) => {
+                    Some(SubmitOutcome::Refused(_)) => {
                         // The shard's dedup would have answered with the
                         // original ids had the first RPC landed, so it
                         // cannot have: terminal rejection.
                         self.router.resolve_reject(id);
                         self.log_rec(&FleetRecord::Rejected { id });
                     }
-                    SubmitOutcome::Backpressure { .. } => break,
-                    SubmitOutcome::Down(_) => {
-                        self.view.alive[s] = false;
-                        self.breaker_trip(s);
-                        break;
-                    }
-                    SubmitOutcome::Indeterminate(_) => {
-                        self.breaker_trip(s);
-                        break;
-                    }
+                    Some(SubmitOutcome::Down(_)) => down = true,
+                    Some(SubmitOutcome::Indeterminate(_)) => in_doubt = true,
+                    Some(SubmitOutcome::Backpressure { .. }) | None => {}
                 }
             }
+            let mut unplaced = Vec::new();
+            for &id in &fresh {
+                match outcomes.next() {
+                    Some(SubmitOutcome::Accepted(local_ids)) => {
+                        let local_id = single_id(&local_ids);
+                        self.router.confirm(id, local_id);
+                        self.booked(id, s, local_id);
+                    }
+                    Some(SubmitOutcome::Refused(_)) => {
+                        self.router.reject(id);
+                        self.log_rec(&FleetRecord::Rejected { id });
+                    }
+                    Some(SubmitOutcome::Indeterminate(_)) => {
+                        // The request may have landed. Pin the job to
+                        // this shard; the next round's batch settles it
+                        // by keyed resubmission.
+                        self.router.mark_in_doubt(id);
+                        in_doubt = true;
+                    }
+                    Some(SubmitOutcome::Down(_)) => {
+                        // Certainly undelivered: safe to re-place.
+                        unplaced.push(id);
+                        down = true;
+                    }
+                    // Backpressure, or never attempted.
+                    Some(SubmitOutcome::Backpressure { .. }) | None => unplaced.push(id),
+                }
+            }
+            // `Router::abort` pushes to the front of the backlog, so abort
+            // in reverse to keep the backlog in FIFO order.
+            for &id in unplaced.iter().rev() {
+                self.router.abort(id);
+                self.log_rec(&FleetRecord::Abort { id });
+            }
+            if down {
+                self.view.alive[s] = false;
+            }
+            if down || in_doubt {
+                self.breaker_trip(s);
+            }
         }
+    }
+
+    /// Book a job the shard accepted under `local_id`.
+    fn booked(&mut self, id: FleetJobId, shard: usize, local_id: usize) {
+        self.outstanding[shard].insert(local_id, id);
+        self.log_rec(&FleetRecord::Confirm {
+            id,
+            shard,
+            local_id,
+        });
     }
 
     /// Sweep shards whose terminal counters moved and fold job fates
@@ -1038,32 +1045,36 @@ impl Fleet {
             }
             self.force_sweep[s] = false;
             let locals: Vec<usize> = self.outstanding[s].keys().copied().collect();
-            let mut swept = true;
-            for local in locals {
-                let Ok(phase) = self.shards[s].job_phase(local) else {
-                    self.view.alive[s] = false;
-                    self.breaker_trip(s);
-                    // The jobs this sweep never reached may already be
-                    // terminal, and the count will not move for them:
-                    // sweep again next round instead of recording it.
-                    self.force_sweep[s] = true;
-                    swept = false;
-                    break;
-                };
+            let phases = if locals.is_empty() {
+                Vec::new()
+            } else {
+                match self.shards[s].job_phases(&locals) {
+                    Ok(phases) => {
+                        debug_assert_eq!(phases.len(), locals.len(), "one phase per job");
+                        phases
+                    }
+                    Err(_) => {
+                        self.view.alive[s] = false;
+                        self.breaker_trip(s);
+                        // Jobs may already be terminal, and the count will
+                        // not move for them: sweep again next round instead
+                        // of recording it.
+                        self.force_sweep[s] = true;
+                        continue;
+                    }
+                }
+            };
+            for (local, phase) in locals.into_iter().zip(phases) {
                 let id = self.outstanding[s][&local];
                 match phase {
-                    JobPhase::Pending => {}
+                    JobPhase::Pending => continue,
                     JobPhase::Done => {
                         self.router.complete(id, s);
-                        self.outstanding[s].remove(&local);
                         self.log_rec(&FleetRecord::Done { id });
-                        folded += 1;
                     }
                     JobPhase::DeadLetter => {
                         self.router.dead_letter(id, s);
-                        self.outstanding[s].remove(&local);
                         self.log_rec(&FleetRecord::Dead { id });
-                        folded += 1;
                     }
                     JobPhase::Rejected => {
                         // A shard cannot reject after accepting — but a
@@ -1071,25 +1082,32 @@ impl Fleet {
                         // dead-lettered so the job is terminal, not lost.
                         debug_assert!(false, "job {id} rejected after acceptance");
                         self.router.dead_letter(id, s);
-                        self.outstanding[s].remove(&local);
                         self.log_rec(&FleetRecord::Dead { id });
-                        folded += 1;
                     }
                     JobPhase::Unknown => {
                         // This incarnation never heard of the id: the old
                         // one died without a journal. Route it again.
                         self.router.requeue_lost(id, &self.view);
-                        self.outstanding[s].remove(&local);
                         self.log_rec(&FleetRecord::Requeue { id });
                         self.lost_requeues += 1;
-                        folded += 1;
                     }
                 }
+                self.outstanding[s].remove(&local);
+                folded += 1;
             }
-            if swept {
-                self.folded_terminal[s] = terminal;
-            }
+            self.folded_terminal[s] = terminal;
         }
         folded
     }
+}
+
+/// The one local id of an accepted keyed submit.
+fn single_id(local_ids: &[usize]) -> usize {
+    assert_eq!(
+        local_ids.len(),
+        1,
+        "keyed submits are single-job, got {} ids",
+        local_ids.len()
+    );
+    local_ids[0]
 }

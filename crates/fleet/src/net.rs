@@ -31,7 +31,7 @@
 use crate::shard::{JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
 use corun_core::{Clock, DetRng, WallClock};
 use corun_serve::json::obj;
-use corun_serve::{handle_request, Json, Service};
+use corun_serve::{handle_request, Json, Service, PROTOCOL_VERSION};
 use corun_verify::{Code, Diagnostic, Report};
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
@@ -821,71 +821,168 @@ pub fn over_local(
     RpcShard::over(raw, cfg, clock)
 }
 
-impl<T: RawTransport> ShardBackend for RpcShard<T> {
-    fn submit(&mut self, key: &str, spec: &str) -> SubmitOutcome {
-        let r = self.call(vec![
+/// Request-frame budget for one batch RPC: half the daemon's frame
+/// limit, leaving room for the envelope. Larger batches go out as
+/// several RPCs.
+const BATCH_FRAME_BYTES: usize = corun_serve::MAX_FRAME_BYTES / 2;
+
+/// Job ids per multi-id `status` RPC: an id renders to at most 20 digits
+/// plus a comma.
+const IDS_PER_FRAME: usize = BATCH_FRAME_BYTES / 21;
+
+impl<T: RawTransport> RpcShard<T> {
+    /// One keyed batch `submit` RPC over `items` (rendered `{key, spec}`
+    /// objects): one outcome per item.
+    fn submit_items(&mut self, items: Vec<Json>) -> Vec<SubmitOutcome> {
+        let n = items.len();
+        let all = |outcome: SubmitOutcome| vec![outcome; n];
+        let r = match self.call(vec![
             ("op", Json::Str("submit".into())),
-            ("spec", Json::Str(spec.into())),
-            ("key", Json::Str(key.into())),
-        ]);
-        let r = match r {
+            ("items", Json::Arr(items)),
+        ]) {
             Ok(r) => r,
             // Never delivered: safe to abort and re-place. Anything else
             // may have landed on the shard — keyed resolution decides.
-            Err(e) if e.certainly_undelivered() => return SubmitOutcome::Down(e.to_string()),
-            Err(e) => return SubmitOutcome::Indeterminate(e.to_string()),
+            Err(e) if e.certainly_undelivered() => return all(SubmitOutcome::Down(e.to_string())),
+            Err(e) => return all(SubmitOutcome::Indeterminate(e.to_string())),
         };
-        if r.get("ok").and_then(Json::as_bool) == Some(true) {
-            let ids = r
-                .get("ids")
-                .and_then(Json::as_arr)
-                .map(|a| a.iter().filter_map(Json::as_index).collect::<Vec<_>>())
-                .unwrap_or_default();
-            return SubmitOutcome::Accepted(ids);
-        }
-        let code = r.get("error").and_then(Json::as_str).unwrap_or("unknown");
-        let msg = r
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap_or("no message")
-            .to_string();
-        match code {
-            "queue_full" => SubmitOutcome::Backpressure {
-                retry_after_s: r
-                    .get("retry_after_s")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.05)
-                    .max(0.0),
+        match r.get("results").and_then(Json::as_arr) {
+            Some(results) if results.len() == n => results.iter().map(submit_outcome).collect(),
+            Some(results) => all(SubmitOutcome::Indeterminate(format!(
+                "{} results for {n} items",
+                results.len()
+            ))),
+            None => match r.get("error").and_then(Json::as_str) {
+                // A daemon that predates keyed batches refuses the whole
+                // request before admitting anything: nothing to reject.
+                Some(code @ ("bad_request" | "unknown_op")) => all(SubmitOutcome::Down(format!(
+                    "{code}: {} does not take keyed batches (protocol {PROTOCOL_VERSION} needed)",
+                    self.raw.peer()
+                ))),
+                _ => all(submit_outcome(&r)),
             },
-            "shutting_down" => SubmitOutcome::Down(msg),
-            // The accept may be on the shard's disk without being
-            // durable: pin the job here for keyed resolution.
-            "journal_failed" => SubmitOutcome::Indeterminate(format!("{code}: {msg}")),
-            _ => SubmitOutcome::Refused(format!("{code}: {msg}")),
+        }
+    }
+}
+
+/// The outcome one keyed `submit` reply stands for — a whole single-item
+/// reply, or one entry of a batch reply's `results`.
+fn submit_outcome(r: &Json) -> SubmitOutcome {
+    if r.get("ok").and_then(Json::as_bool) == Some(true) {
+        let ids = r
+            .get("ids")
+            .and_then(Json::as_arr)
+            .map(|a| a.iter().filter_map(Json::as_index).collect::<Vec<_>>())
+            .unwrap_or_default();
+        return SubmitOutcome::Accepted(ids);
+    }
+    let code = r.get("error").and_then(Json::as_str).unwrap_or("unknown");
+    let msg = r
+        .get("message")
+        .and_then(Json::as_str)
+        .unwrap_or("no message")
+        .to_string();
+    match code {
+        "queue_full" => SubmitOutcome::Backpressure {
+            retry_after_s: r
+                .get("retry_after_s")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.05)
+                .max(0.0),
+        },
+        "shutting_down" => SubmitOutcome::Down(msg),
+        // The accept may be on the shard's disk without being durable:
+        // pin the job here for keyed resolution.
+        "journal_failed" => SubmitOutcome::Indeterminate(format!("{code}: {msg}")),
+        _ => SubmitOutcome::Refused(format!("{code}: {msg}")),
+    }
+}
+
+/// The phase a `status` state string stands for (`unknown` for an id the
+/// shard never admitted).
+fn phase_of(state: Option<&str>) -> JobPhase {
+    match state {
+        Some("done") => JobPhase::Done,
+        Some("dead-letter") => JobPhase::DeadLetter,
+        Some("rejected") => JobPhase::Rejected,
+        Some("unknown") => JobPhase::Unknown,
+        _ => JobPhase::Pending,
+    }
+}
+
+impl<T: RawTransport> ShardBackend for RpcShard<T> {
+    fn submit(&mut self, key: &str, spec: &str) -> SubmitOutcome {
+        match self.call(vec![
+            ("op", Json::Str("submit".into())),
+            ("spec", Json::Str(spec.into())),
+            ("key", Json::Str(key.into())),
+        ]) {
+            Ok(r) => submit_outcome(&r),
+            Err(e) if e.certainly_undelivered() => SubmitOutcome::Down(e.to_string()),
+            Err(e) => SubmitOutcome::Indeterminate(e.to_string()),
         }
     }
 
     fn job_phase(&mut self, local_id: usize) -> Result<JobPhase, String> {
-        let r = self
-            .call(vec![
-                ("op", Json::Str("status".into())),
-                ("id", Json::Num(local_id as f64)),
-            ])
-            .map_err(|e| e.to_string())?;
-        match r.get("error").and_then(Json::as_str) {
-            Some("unknown_job") => return Ok(JobPhase::Unknown),
-            Some("journal_failed") => {
-                let msg = r.get("message").and_then(Json::as_str);
-                return Err(msg.unwrap_or("journal_failed").to_string());
+        Ok(self.job_phases(&[local_id])?[0])
+    }
+
+    fn submit_batch(&mut self, items: &[(String, String)]) -> Vec<SubmitOutcome> {
+        // Greedy chunks, each rendering within the frame budget.
+        let mut chunks: Vec<Vec<Json>> = Vec::new();
+        let mut bytes = 0;
+        for (key, spec) in items {
+            let item = obj(vec![
+                ("key", Json::Str(key.clone())),
+                ("spec", Json::Str(spec.clone())),
+            ]);
+            let len = item.render().len() + 1;
+            match chunks.last_mut() {
+                Some(chunk) if bytes + len <= BATCH_FRAME_BYTES => chunk.push(item),
+                _ => {
+                    chunks.push(vec![item]);
+                    bytes = 0;
+                }
             }
-            _ => {}
+            bytes += len;
         }
-        Ok(match r.get("state").and_then(Json::as_str) {
-            Some("done") => JobPhase::Done,
-            Some("dead-letter") => JobPhase::DeadLetter,
-            Some("rejected") => JobPhase::Rejected,
-            _ => JobPhase::Pending,
-        })
+        let mut outcomes = Vec::with_capacity(items.len());
+        for chunk in chunks {
+            let sent = self.submit_items(chunk);
+            let settled = sent
+                .iter()
+                .all(|o| matches!(o, SubmitOutcome::Accepted(_) | SubmitOutcome::Refused(_)));
+            outcomes.extend(sent);
+            if !settled {
+                // As in the per-item default: the rest stay unattempted.
+                break;
+            }
+        }
+        outcomes
+    }
+
+    fn job_phases(&mut self, local_ids: &[usize]) -> Result<Vec<JobPhase>, String> {
+        let mut phases = Vec::with_capacity(local_ids.len());
+        for chunk in local_ids.chunks(IDS_PER_FRAME) {
+            let ids = chunk.iter().map(|&id| Json::Num(id as f64)).collect();
+            let r = self
+                .call(vec![
+                    ("op", Json::Str("status".into())),
+                    ("ids", Json::Arr(ids)),
+                ])
+                .map_err(|e| e.to_string())?;
+            if let Some(code) = r.get("error").and_then(Json::as_str) {
+                let msg = r.get("message").and_then(Json::as_str);
+                return Err(msg.unwrap_or(code).to_string());
+            }
+            match r.get("phases").and_then(Json::as_arr) {
+                Some(got) if got.len() == chunk.len() => {
+                    phases.extend(got.iter().map(|p| phase_of(p.as_str())));
+                }
+                _ => return Err(format!("{}: malformed phases reply", self.raw.peer())),
+            }
+        }
+        Ok(phases)
     }
 
     fn metrics(&mut self) -> Result<ShardMetrics, String> {

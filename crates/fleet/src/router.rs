@@ -20,7 +20,7 @@
 //! jobs — never anything a shard has already seen. `requeue_lost` is the
 //! single edge back from `Submitted`, and the coordinator takes it only
 //! once the owning shard incarnation is confirmed dead (crashed without
-//! a journal, or replying `unknown_job` after an unrecovered restart).
+//! a journal, or reporting the id `unknown` after an unrecovered restart).
 //!
 //! `InDoubt` is the partition-tolerance edge: a submission whose RPC
 //! failed *after* the request may have been delivered
@@ -33,7 +33,7 @@
 //! (`resolve_reject`). The placement proptests drive exactly this type.
 
 use crate::placement::{Placement, ShardView};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Coordinator-global job id (dense, `0..jobs()`).
 pub type FleetJobId = usize;
@@ -96,6 +96,9 @@ pub struct Router {
     placement: Box<dyn Placement>,
     jobs: Vec<FleetJob>,
     backlogs: Vec<VecDeque<FleetJobId>>,
+    /// The `InDoubt` jobs of each shard, so a round finds them in
+    /// O(in doubt) rather than by scanning every job ever admitted.
+    in_doubt: Vec<BTreeSet<FleetJobId>>,
 }
 
 impl Router {
@@ -105,6 +108,7 @@ impl Router {
             placement,
             jobs: Vec::new(),
             backlogs: vec![VecDeque::new(); shards],
+            in_doubt: vec![BTreeSet::new(); shards],
         }
     }
 
@@ -123,13 +127,20 @@ impl Router {
             placement,
             jobs: Vec::with_capacity(jobs.len()),
             backlogs: vec![VecDeque::new(); shards],
+            in_doubt: vec![BTreeSet::new(); shards],
         };
         for mut job in jobs {
             let id = r.jobs.len();
-            if let JobLoc::Backlog(old) | JobLoc::Submitting(old) = job.loc {
-                let dest = r.placement.place(&job.key, view).unwrap_or(old);
-                job.loc = JobLoc::Backlog(dest);
-                r.backlogs[dest].push_back(id);
+            match job.loc {
+                JobLoc::Backlog(old) | JobLoc::Submitting(old) => {
+                    let dest = r.placement.place(&job.key, view).unwrap_or(old);
+                    job.loc = JobLoc::Backlog(dest);
+                    r.backlogs[dest].push_back(id);
+                }
+                JobLoc::InDoubt(shard) => {
+                    r.in_doubt[shard].insert(id);
+                }
+                _ => {}
             }
             r.jobs.push(job);
         }
@@ -274,6 +285,7 @@ impl Router {
             );
         };
         job.loc = JobLoc::InDoubt(shard);
+        self.in_doubt[shard].insert(id);
     }
 
     /// Keyed resubmission to the pinned shard came back accepted: the
@@ -294,6 +306,7 @@ impl Router {
         };
         job.loc = JobLoc::Submitted { shard, local_id };
         job.submits += 1;
+        self.in_doubt[shard].remove(&id);
     }
 
     /// Keyed resubmission was permanently refused, so the original RPC
@@ -305,22 +318,16 @@ impl Router {
     /// Panics unless the job is `InDoubt`.
     pub fn resolve_reject(&mut self, id: FleetJobId) {
         let job = &mut self.jobs[id];
-        assert!(
-            matches!(job.loc, JobLoc::InDoubt(_)),
-            "resolve_reject({id}) from {:?}",
-            job.loc
-        );
+        let JobLoc::InDoubt(shard) = job.loc else {
+            panic!("resolve_reject({id}) from {:?}", job.loc);
+        };
         job.loc = JobLoc::Rejected;
+        self.in_doubt[shard].remove(&id);
     }
 
     /// Jobs currently in doubt on `shard`, in id order.
     pub fn in_doubt(&self, shard: usize) -> Vec<FleetJobId> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.loc == JobLoc::InDoubt(shard))
-            .map(|(id, _)| id)
-            .collect()
+        self.in_doubt[shard].iter().copied().collect()
     }
 
     /// The owning shard reported the job done.
@@ -356,7 +363,7 @@ impl Router {
     }
 
     /// The owning shard incarnation is confirmed gone (crash without
-    /// journal, or `unknown_job` after an unrecovered restart): route the
+    /// journal, or an `unknown` id after an unrecovered restart): route the
     /// job again. Placement may pick any live shard.
     ///
     /// # Panics
@@ -453,8 +460,9 @@ impl Router {
     }
 
     /// Internal consistency: every backlog entry is a `Backlog` job on
-    /// that shard, every `Backlog` job is in exactly one backlog, and
-    /// submit counts match requeues (`submits <= requeues + 1`).
+    /// that shard, every `Backlog` job is in exactly one backlog, each
+    /// shard's in-doubt set holds exactly its `InDoubt` jobs, and submit
+    /// counts match requeues (`submits <= requeues + 1`).
     ///
     /// # Panics
     ///
@@ -495,6 +503,16 @@ impl Router {
                     "job {id} in doubt on nonexistent shard {shard}"
                 );
             }
+        }
+        // The per-shard in-doubt sets are exactly what a full scan finds.
+        for (shard, set) in self.in_doubt.iter().enumerate() {
+            let scanned: BTreeSet<FleetJobId> = (0..self.jobs.len())
+                .filter(|&id| self.jobs[id].loc == JobLoc::InDoubt(shard))
+                .collect();
+            assert_eq!(
+                *set, scanned,
+                "shard {shard}'s in-doubt set disagrees with the job table"
+            );
         }
     }
 }

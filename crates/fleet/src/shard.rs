@@ -8,7 +8,7 @@ use corun_serve::{JobState, Service, ServiceConfig, SubmitError};
 use std::path::Path;
 
 /// What happened to one submission attempt.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum SubmitOutcome {
     /// The shard accepted the jobs under these shard-local ids.
     Accepted(Vec<usize>),
@@ -94,6 +94,35 @@ pub trait ShardBackend: Send {
     /// Phase of one shard-local job. `Err` means the shard is down.
     fn job_phase(&mut self, local_id: usize) -> Result<JobPhase, String>;
 
+    /// Submit `(key, spec)` items as one keyed batch: one outcome per
+    /// attempted item, in order, each with [`ShardBackend::submit`]'s
+    /// meaning. Items past the end of the returned vector were not
+    /// attempted. This default submits one item at a time and stops at
+    /// the first outcome that is neither `Accepted` nor `Refused`;
+    /// backends with a batch RPC override it.
+    fn submit_batch(&mut self, items: &[(String, String)]) -> Vec<SubmitOutcome> {
+        let mut outcomes = Vec::with_capacity(items.len());
+        for (key, spec) in items {
+            let outcome = self.submit(key, spec);
+            let settled = matches!(
+                outcome,
+                SubmitOutcome::Accepted(_) | SubmitOutcome::Refused(_)
+            );
+            outcomes.push(outcome);
+            if !settled {
+                break;
+            }
+        }
+        outcomes
+    }
+
+    /// Phases of several shard-local jobs, in order. `Err` means the
+    /// shard is down and no phase can be trusted. This default asks one
+    /// job at a time; backends with a batch RPC override it.
+    fn job_phases(&mut self, local_ids: &[usize]) -> Result<Vec<JobPhase>, String> {
+        local_ids.iter().map(|&id| self.job_phase(id)).collect()
+    }
+
     /// Metrics snapshot. `Err` means the shard is down.
     fn metrics(&mut self) -> Result<ShardMetrics, String>;
 
@@ -153,41 +182,47 @@ impl LocalShard {
 
 impl ShardBackend for LocalShard {
     fn submit(&mut self, key: &str, spec: &str) -> SubmitOutcome {
-        let Some(service) = &self.service else {
-            return SubmitOutcome::Down("shard stopped".into());
-        };
-        match service.submit_spec_keyed(spec, key) {
-            Ok(ids) => SubmitOutcome::Accepted(ids),
-            Err(SubmitError::QueueFull { retry_after_s, .. }) => {
-                SubmitOutcome::Backpressure { retry_after_s }
-            }
-            Err(SubmitError::ShuttingDown) => SubmitOutcome::Down("shutting down".into()),
-            Err(e @ (SubmitError::Lint(_) | SubmitError::Infeasible { .. })) => {
-                SubmitOutcome::Refused(e.to_string())
-            }
-            // The accept may be on the shard's disk without being
-            // durable: pin the job here for keyed resolution.
-            Err(e @ SubmitError::JournalFailed(_)) => SubmitOutcome::Indeterminate(e.to_string()),
-        }
+        let mut outcomes = self.submit_batch(&[(key.to_string(), spec.to_string())]);
+        outcomes.pop().expect("one outcome per item")
     }
 
     fn job_phase(&mut self, local_id: usize) -> Result<JobPhase, String> {
+        Ok(self.job_phases(&[local_id])?[0])
+    }
+
+    fn submit_batch(&mut self, items: &[(String, String)]) -> Vec<SubmitOutcome> {
+        let Some(service) = &self.service else {
+            return vec![SubmitOutcome::Down("shard stopped".into()); items.len()];
+        };
+        let items: Vec<(&str, &str)> = items
+            .iter()
+            .map(|(key, spec)| (key.as_str(), spec.as_str()))
+            .collect();
+        service
+            .submit_keyed_batch(&items)
+            .into_iter()
+            .map(local_outcome)
+            .collect()
+    }
+
+    fn job_phases(&mut self, local_ids: &[usize]) -> Result<Vec<JobPhase>, String> {
         let Some(service) = &self.service else {
             return Err("shard stopped".into());
         };
-        let status = service.job_status(local_id);
+        let states = service.job_states(local_ids);
         if let Some(failed) = service.journal_failure() {
             return Err(failed.to_string());
         }
-        Ok(match status {
-            None => JobPhase::Unknown,
-            Some(s) => match s.state {
-                JobState::Done { .. } => JobPhase::Done,
-                JobState::DeadLetter { .. } => JobPhase::DeadLetter,
-                JobState::Rejected => JobPhase::Rejected,
-                JobState::Queued | JobState::Running { .. } => JobPhase::Pending,
-            },
-        })
+        Ok(states
+            .iter()
+            .map(|state| match state {
+                None => JobPhase::Unknown,
+                Some(JobState::Done { .. }) => JobPhase::Done,
+                Some(JobState::DeadLetter { .. }) => JobPhase::DeadLetter,
+                Some(JobState::Rejected) => JobPhase::Rejected,
+                Some(JobState::Queued | JobState::Running { .. }) => JobPhase::Pending,
+            })
+            .collect())
     }
 
     fn metrics(&mut self) -> Result<ShardMetrics, String> {
@@ -253,6 +288,23 @@ impl ShardBackend for LocalShard {
 
     fn kind(&self) -> &'static str {
         "local"
+    }
+}
+
+/// The outcome of one in-process keyed submit.
+fn local_outcome(r: Result<usize, SubmitError>) -> SubmitOutcome {
+    match r {
+        Ok(id) => SubmitOutcome::Accepted(vec![id]),
+        Err(SubmitError::QueueFull { retry_after_s, .. }) => {
+            SubmitOutcome::Backpressure { retry_after_s }
+        }
+        Err(SubmitError::ShuttingDown) => SubmitOutcome::Down("shutting down".into()),
+        Err(e @ (SubmitError::Lint(_) | SubmitError::Infeasible { .. })) => {
+            SubmitOutcome::Refused(e.to_string())
+        }
+        // The accept may be on the shard's disk without being durable:
+        // pin the job here for keyed resolution.
+        Err(e @ SubmitError::JournalFailed(_)) => SubmitOutcome::Indeterminate(e.to_string()),
     }
 }
 

@@ -12,8 +12,10 @@ use crate::json::{obj, Json};
 use crate::service::{JobState, JobStatus, JournalFailed, MetricsSnapshot, Service, SubmitError};
 use apu_sim::Device;
 
-/// Protocol revision, echoed by `ping` and checked by clients.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// Protocol revision, echoed by `ping` and checked by clients. Version 2
+/// added the keyed batch form of `submit` (`items`) and the multi-id form
+/// of `status` (`ids`).
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Handle one request line; always returns exactly one JSON line
 /// (without the trailing newline).
@@ -52,6 +54,7 @@ fn dispatch(service: &Service, req: &Json) -> Json {
             ("service", Json::Str("corun-serve".into())),
             ("proto", Json::Num(PROTOCOL_VERSION as f64)),
         ]),
+        "submit" if req.get("items").is_some() => keyed_batch(service, req),
         "submit" => {
             let Some(spec) = req.get("spec").and_then(Json::as_str) else {
                 return error("bad_request", "submit needs a string field `spec`");
@@ -79,6 +82,27 @@ fn dispatch(service: &Service, req: &Json) -> Json {
                 }
             }
             submit_specs(service, &specs)
+        }
+        "status" if req.get("ids").is_some() => {
+            let Some(ids) = req
+                .get("ids")
+                .and_then(Json::as_arr)
+                .and_then(|a| a.iter().map(Json::as_index).collect::<Option<Vec<_>>>())
+            else {
+                return error("bad_request", "`ids` must be an array of job ids");
+            };
+            let phases = service
+                .job_states(&ids)
+                .iter()
+                .map(|st| Json::Str(st.as_ref().map_or("unknown", state_str).into()))
+                .collect();
+            committed(
+                service,
+                obj(vec![
+                    ("ok", Json::Bool(true)),
+                    ("phases", Json::Arr(phases)),
+                ]),
+            )
         }
         "status" => {
             let Some(id) = req.get("id").and_then(Json::as_index) else {
@@ -139,6 +163,40 @@ fn dispatch(service: &Service, req: &Json) -> Json {
         }
         other => error("unknown_op", &format!("unknown op `{other}`")),
     }
+}
+
+/// `submit` with `"items":[{"key","spec"}...]`: one keyed submit per
+/// item under one lock hold and one commit. Each entry of `results` has
+/// the shape of a single keyed `submit` reply. A malformed item refuses
+/// the whole request before anything is admitted.
+fn keyed_batch(service: &Service, req: &Json) -> Json {
+    let Some(items) = req.get("items").and_then(Json::as_arr) else {
+        return error("bad_request", "`items` must be an array");
+    };
+    let mut pairs = Vec::with_capacity(items.len());
+    for item in items {
+        let key = item.get("key").and_then(Json::as_str);
+        let spec = item.get("spec").and_then(Json::as_str);
+        let (Some(key), Some(spec)) = (key, spec) else {
+            return error(
+                "bad_request",
+                "`items` entries need string `key` and `spec`",
+            );
+        };
+        pairs.push((key, spec));
+    }
+    let results = service
+        .submit_keyed_batch(&pairs)
+        .iter()
+        .map(|r| match r {
+            Ok(id) => ids_json(&[*id]),
+            Err(e) => submit_error_json(e),
+        })
+        .collect();
+    obj(vec![
+        ("ok", Json::Bool(true)),
+        ("results", Json::Arr(results)),
+    ])
 }
 
 fn submit_specs(service: &Service, specs: &[&str]) -> Json {
@@ -225,6 +283,18 @@ fn device_str(d: Device) -> &'static str {
     }
 }
 
+/// The `state` string of a job: `queued`, `running`, `done`,
+/// `dead-letter` or `rejected`.
+fn state_str(state: &JobState) -> &'static str {
+    match state {
+        JobState::Queued => "queued",
+        JobState::Rejected => "rejected",
+        JobState::Running { .. } => "running",
+        JobState::Done { .. } => "done",
+        JobState::DeadLetter { .. } => "dead-letter",
+    }
+}
+
 fn status_json(status: &JobStatus) -> Json {
     let mut fields = vec![
         ("ok", Json::Bool(true)),
@@ -232,17 +302,16 @@ fn status_json(status: &JobStatus) -> Json {
         ("name", Json::Str(status.name.clone())),
         ("dispatches", Json::Num(status.dispatches as f64)),
         ("retries", Json::Num(status.retries as f64)),
+        ("state", Json::Str(state_str(&status.state).into())),
     ];
     match &status.state {
-        JobState::Queued => fields.push(("state", Json::Str("queued".into()))),
-        JobState::Rejected => fields.push(("state", Json::Str("rejected".into()))),
+        JobState::Queued | JobState::Rejected => {}
         JobState::Running {
             machine,
             device,
             start_s,
             predicted_s,
         } => {
-            fields.push(("state", Json::Str("running".into())));
             fields.push(("machine", Json::Num(*machine as f64)));
             fields.push(("device", Json::Str(device_str(*device).into())));
             fields.push(("start_s", Json::Num(*start_s)));
@@ -255,7 +324,6 @@ fn status_json(status: &JobStatus) -> Json {
             end_s,
             predicted_s,
         } => {
-            fields.push(("state", Json::Str("done".into())));
             fields.push(("machine", Json::Num(*machine as f64)));
             fields.push(("device", Json::Str(device_str(*device).into())));
             fields.push(("start_s", Json::Num(*start_s)));
@@ -264,7 +332,6 @@ fn status_json(status: &JobStatus) -> Json {
             fields.push(("simulated_s", Json::Num(*end_s - *start_s)));
         }
         JobState::DeadLetter { reason } => {
-            fields.push(("state", Json::Str("dead-letter".into())));
             fields.push(("reason", Json::Str(reason.clone())));
         }
     }
@@ -374,7 +441,10 @@ mod tests {
         let svc = service();
         let r = call(&svc, r#"{"op":"ping"}"#);
         assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
-        assert_eq!(r.get("proto").and_then(Json::as_index), Some(1));
+        assert_eq!(
+            r.get("proto").and_then(Json::as_index),
+            Some(PROTOCOL_VERSION as usize)
+        );
 
         let r = call(&svc, "not json");
         assert_eq!(r.get("error").and_then(Json::as_str), Some("bad_request"));
@@ -514,6 +584,82 @@ mod tests {
         let r = call(&svc, r#"{"op":"watch","since":"x"}"#);
         assert_eq!(r.get("error").and_then(Json::as_str), Some("bad_request"));
         svc.shutdown();
+    }
+
+    #[test]
+    fn keyed_batch_answers_per_item_under_one_commit() {
+        let path = std::env::temp_dir().join(format!(
+            "corun-protocol-keyed-batch-{}.jsonl",
+            std::process::id()
+        ));
+        let machine = MachineConfig::ivy_bridge();
+        let mut cfg = ServiceConfig::fast(&machine);
+        cfg.characterization.grid_points = 3;
+        cfg.characterization.micro_duration_s = 1.0;
+        // One fresh item fills the queue for the rest of the batch.
+        cfg.queue_capacity = 1;
+        cfg.journal_path = Some(path.clone());
+        let svc = Service::start(cfg);
+        let r = call(&svc, r#"{"op":"submit","spec":"lud x0.1","key":"k0"}"#);
+        let k0 = r.get("ids").and_then(Json::as_arr).unwrap()[0]
+            .as_index()
+            .unwrap();
+        svc.wait_job(k0);
+
+        let commits = svc.metrics().journal_commits;
+        let r = call(
+            &svc,
+            r#"{"op":"submit","items":[
+                {"key":"k1","spec":"srad x0.1"},
+                {"key":"k0","spec":"lud x0.1"},
+                {"key":"k2","spec":"who_dis x1"},
+                {"key":"k3","spec":"hotspot x0.1"},
+                {"key":"k4","spec":"srad x0.1"}]}"#,
+        );
+        assert_eq!(svc.metrics().journal_commits, commits + 1, "one commit");
+        assert_eq!(r.get("ok"), Some(&Json::Bool(true)));
+        let results = r.get("results").and_then(Json::as_arr).unwrap();
+        let ids = |i: usize| -> Vec<usize> {
+            results[i]
+                .get("ids")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .filter_map(Json::as_index)
+                .collect()
+        };
+        let code = |i: usize| results[i].get("error").and_then(Json::as_str);
+        assert_eq!(results.len(), 5);
+        assert_eq!(ids(0), vec![k0 + 1], "fresh item admitted");
+        assert_eq!(ids(1), vec![k0], "dedup hit answers with the old id");
+        assert_eq!(code(2), Some("lint"));
+        assert!(results[2].get("diagnostics").is_some());
+        assert_eq!(code(3), Some("queue_full"));
+        assert_eq!(code(4), Some("queue_full"));
+        assert!(results[3].get("retry_after_s").is_some());
+
+        // Multi-id status: one phase per id, `unknown` for ids never
+        // admitted.
+        let r = call(&svc, &format!(r#"{{"op":"status","ids":[{k0},999]}}"#));
+        let phases = r.get("phases").and_then(Json::as_arr).unwrap();
+        assert_eq!(phases[0].as_str(), Some("done"));
+        assert_eq!(phases[1].as_str(), Some("unknown"));
+
+        for bad in [
+            r#"{"op":"submit","items":{"key":"k9"}}"#,
+            r#"{"op":"submit","items":[{"key":"k9"}]}"#,
+            r#"{"op":"status","ids":[1,"x"]}"#,
+        ] {
+            let r = call(&svc, bad);
+            assert_eq!(
+                r.get("error").and_then(Json::as_str),
+                Some("bad_request"),
+                "{bad}"
+            );
+        }
+        assert_eq!(svc.job_count(), 2, "malformed batches admit nothing");
+        svc.shutdown();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

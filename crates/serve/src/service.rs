@@ -545,7 +545,28 @@ impl Service {
             }
         }
         debug_assert_eq!(origin.len(), jobs.len());
-        self.admit(jobs, origin, None)
+        let mut inner = self.lock();
+        // The fail-stop state admits nothing: no reply may claim durable
+        // state the journal can no longer keep.
+        inner
+            .journal_healthy()
+            .map_err(SubmitError::JournalFailed)?;
+        let admitted = inner.admit_fresh(self.shared.cfg.queue_capacity, &jobs, &origin);
+        // The op's one commit, on every path, before its reply.
+        if let Err(e) = inner.commit() {
+            if let Ok(ids) = &admitted {
+                // The reply says "not admitted", so this incarnation must
+                // not run the jobs either.
+                for &id in ids {
+                    inner.st.reject(id).expect("accepted under this lock hold");
+                }
+            }
+            return Err(SubmitError::JournalFailed(e));
+        }
+        if admitted.is_ok() {
+            self.shared.work_cv.notify_all();
+        }
+        admitted
     }
 
     /// Idempotent keyed submit: a single-job spec fragment tagged with a
@@ -553,8 +574,73 @@ impl Service {
     /// call admits the job under that key as its name; any repeat —
     /// including an RPC retry after a lost reply, or a retry against a
     /// journal-recovered incarnation — returns the already-admitted id
-    /// instead of dispatching a second copy.
+    /// instead of dispatching a second copy. The one-item call of
+    /// [`Service::submit_keyed_batch`].
     pub fn submit_spec_keyed(&self, text: &str, key: &str) -> Result<Vec<JobId>, SubmitError> {
+        let mut outcomes = self.submit_keyed_batch(&[(key, text)]);
+        outcomes
+            .pop()
+            .expect("one outcome per item")
+            .map(|id| vec![id])
+    }
+
+    /// Keyed batch admission: each `(key, spec)` item is one keyed submit
+    /// (see [`Service::submit_spec_keyed`]), and the reply holds one
+    /// outcome per item, in order. The whole batch takes one lock hold
+    /// and one journal commit. A dedup hit answers first; any other item
+    /// is admitted on its own, so a lint failure or an infeasible job
+    /// refuses only its item, and once the queue is full every later
+    /// fresh item gets `QueueFull`. If the commit fails, every fresh item
+    /// is withdrawn and every item answers `JournalFailed`.
+    pub fn submit_keyed_batch(&self, items: &[(&str, &str)]) -> Vec<Result<JobId, SubmitError>> {
+        let built: Vec<_> = items
+            .iter()
+            .map(|&(key, text)| self.keyed_job(key, text))
+            .collect();
+        let mut inner = self.lock();
+        // The fail-stop state admits nothing, keyed dedup hits included.
+        if let Err(e) = inner.journal_healthy() {
+            return vec![Err(SubmitError::JournalFailed(e)); items.len()];
+        }
+        let mut fresh = Vec::new();
+        let mut outcomes = Vec::with_capacity(items.len());
+        for (&(key, _), built) in items.iter().zip(built) {
+            // Keyed dedup must win over every other refusal: a retried RPC
+            // whose first attempt landed must get the same answer back even
+            // if the queue has since filled or shutdown began.
+            if let Some(&id) = inner.names.get(key) {
+                outcomes.push(Ok(id));
+                continue;
+            }
+            let admitted = built.and_then(|(job, origin)| {
+                let capacity = self.shared.cfg.queue_capacity;
+                inner
+                    .admit_fresh(capacity, &[job], &[origin])
+                    .map(|ids| ids[0])
+            });
+            if let Ok(id) = admitted {
+                inner.names.insert(key.to_string(), id);
+                fresh.push(key);
+            }
+            outcomes.push(admitted);
+        }
+        // The op's one commit, on every path, before its reply.
+        if let Err(e) = inner.commit() {
+            for key in fresh {
+                let id = inner.names.remove(key).expect("named above");
+                inner.st.reject(id).expect("accepted under this lock hold");
+            }
+            return vec![Err(SubmitError::JournalFailed(e)); items.len()];
+        }
+        if !fresh.is_empty() {
+            self.shared.work_cv.notify_all();
+        }
+        outcomes
+    }
+
+    /// Lint a keyed fragment and expand it to its one job, named `key`,
+    /// paired with the (program, scale) the journal records.
+    fn keyed_job(&self, key: &str, text: &str) -> Result<(JobSpec, (String, f64)), SubmitError> {
         let (lines, report) = corun_verify::lint_spec_full(text);
         if report.has_errors() {
             return Err(SubmitError::Lint(report));
@@ -575,49 +661,7 @@ impl Service {
         }
         let mut job = jobs.pop().expect("length checked above");
         job.name = key.to_string();
-        let origin = vec![(lines[0].name.clone(), lines[0].scale)];
-        self.admit(vec![job], origin, Some(key))
-    }
-
-    fn admit(
-        &self,
-        jobs: Vec<JobSpec>,
-        origin: Vec<(String, f64)>,
-        dedup_key: Option<&str>,
-    ) -> Result<Vec<JobId>, SubmitError> {
-        let mut inner = self.lock();
-        // The fail-stop state admits nothing, keyed dedup hits included:
-        // no reply may claim durable state the journal can no longer keep.
-        inner
-            .journal_healthy()
-            .map_err(SubmitError::JournalFailed)?;
-        // Keyed dedup must win over every other refusal: a retried RPC
-        // whose first attempt landed must get the same answer back even
-        // if the queue has since filled or shutdown began.
-        let hit = dedup_key.and_then(|key| inner.names.get(key).copied());
-        let admitted = match hit {
-            Some(id) => Ok(vec![id]),
-            None => inner.admit_fresh(self.shared.cfg.queue_capacity, &jobs, &origin),
-        };
-        // The op's one commit, on every path, before its reply.
-        if let Err(e) = inner.commit() {
-            if let (None, Ok(ids)) = (hit, &admitted) {
-                // The reply says "not admitted", so this incarnation must
-                // not run the jobs either.
-                for &id in ids {
-                    inner.st.reject(id).expect("accepted under this lock hold");
-                }
-            }
-            return Err(SubmitError::JournalFailed(e));
-        }
-        if let (None, Ok(ids)) = (hit, &admitted) {
-            if let Some(key) = dedup_key {
-                debug_assert_eq!(ids.len(), 1, "keyed submissions are single-job");
-                inner.names.insert(key.to_string(), ids[0]);
-            }
-            self.shared.work_cv.notify_all();
-        }
-        admitted
+        Ok((job, (lines[0].name.clone(), lines[0].scale)))
     }
 
     /// Status of one job, `None` for unknown ids. Like every reply that
@@ -635,6 +679,18 @@ impl Service {
         });
         let _ = inner.commit();
         status
+    }
+
+    /// States of several jobs under one lock hold, `None` for unknown
+    /// ids. Commits once, as [`Service::job_status`] does.
+    pub fn job_states(&self, ids: &[JobId]) -> Vec<Option<JobState>> {
+        let mut inner = self.lock();
+        let states = ids
+            .iter()
+            .map(|&id| inner.st.jobs.get(id).map(|j| j.state.clone()))
+            .collect();
+        let _ = inner.commit();
+        states
     }
 
     /// Why the journal failed, once it has: the daemon then admits
@@ -2211,6 +2267,43 @@ mod tests {
         assert!(err.to_string().contains("write failed"), "{err}");
         assert_eq!(svc.job_status(next).unwrap().state, JobState::Rejected);
         assert_refuses_admissions(&svc);
+        svc.shutdown();
+        drop(svc);
+        recover_keeps_every_ack(&path, &acked);
+    }
+
+    #[test]
+    fn failed_batch_commit_withdraws_every_fresh_item() {
+        let path = temp_journal("batch-fails");
+        let (svc, acked) = journaled_with_pending_records(&path, 2);
+        break_journal(&svc);
+        let next = svc.job_count();
+        let outcomes = svc.submit_keyed_batch(&[
+            ("k1", "lud x0.1\n"),
+            ("k5", "srad x0.1\n"),
+            ("k6", "hotspot x0.1\n"),
+        ]);
+        assert_eq!(outcomes.len(), 3);
+        for r in &outcomes {
+            assert!(matches!(r, Err(SubmitError::JournalFailed(_))), "{r:?}");
+        }
+        // The fresh items were withdrawn, not run.
+        assert_eq!(svc.job_count(), next + 2);
+        for id in next..svc.job_count() {
+            assert_eq!(svc.job_status(id).unwrap().state, JobState::Rejected);
+        }
+        assert_refuses_admissions(&svc);
+        svc.shutdown();
+        drop(svc);
+
+        // `--recover` has none of them: their keys admit afresh.
+        let mut cfg = tiny_cfg(64);
+        cfg.journal_path = Some(path.clone());
+        cfg.recover = true;
+        let svc = Service::start(cfg);
+        assert_eq!(svc.job_count(), acked.len());
+        let k5 = svc.submit_spec_keyed("srad x0.1\n", "k5").unwrap();
+        assert_eq!(k5, vec![acked.len()]);
         svc.shutdown();
         drop(svc);
         recover_keeps_every_ack(&path, &acked);

@@ -170,6 +170,58 @@ proptest! {
     }
 }
 
+/// Power loss: only committed records survive. Every acknowledged reply
+/// commits first, so the journal's length when a call returns is at or
+/// past a commit boundary. A journal cut at each of those lengths must
+/// recover every id acknowledged by then, and a keyed batch's keys must
+/// still deduplicate.
+#[test]
+fn power_loss_at_each_commit_boundary_keeps_every_ack() {
+    let path = temp_journal("powerloss");
+    let svc = Service::start(journaled_cfg(&path, false));
+    let len = || std::fs::metadata(&path).expect("journal").len() as usize;
+    // (journal length when a call returned, plain ids, keyed (key, id))
+    let mut cuts = vec![(len(), Vec::new(), Vec::new())];
+    let mut plain = svc.submit_spec("srad x0.05 *2\n").expect("submit");
+    let mut keyed = Vec::new();
+    cuts.push((len(), plain.clone(), keyed.clone()));
+    let items = [("k0", "lud x0.05\n"), ("k1", "hotspot x0.05\n")];
+    for ((key, _), r) in items.iter().zip(svc.submit_keyed_batch(&items)) {
+        keyed.push((*key, r.expect("keyed batch item")));
+    }
+    cuts.push((len(), plain.clone(), keyed.clone()));
+    plain.extend(svc.submit_spec("srad x0.05\n").expect("submit"));
+    cuts.push((len(), plain.clone(), keyed.clone()));
+    svc.wait_idle();
+    cuts.push((len(), plain.clone(), keyed.clone()));
+    svc.shutdown();
+    drop(svc);
+
+    let bytes = std::fs::read(&path).expect("journal bytes");
+    let cut_path = temp_journal("powerloss-cut");
+    for (cut, plain, keyed) in cuts {
+        std::fs::write(&cut_path, &bytes[..cut]).expect("write cut");
+        let svc = Service::start(journaled_cfg(&cut_path, true));
+        let report = svc.chaos_report();
+        assert!(!report.has_errors(), "cut {cut}: {}", report.render_human());
+        for &id in plain.iter().chain(keyed.iter().map(|(_, id)| id)) {
+            let st = svc.wait_job(id).expect("an acknowledged job is missing");
+            assert!(
+                matches!(st.state, JobState::Done { .. }),
+                "cut {cut}: {st:?}"
+            );
+        }
+        for (key, id) in keyed {
+            let spec = items.iter().find(|(k, _)| *k == key).expect("item").1;
+            let again = svc.submit_spec_keyed(spec, key).expect("resubmit");
+            assert_eq!(again, vec![id], "cut {cut}: key {key} admitted twice");
+        }
+        svc.shutdown();
+    }
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&cut_path).ok();
+}
+
 #[test]
 fn empty_journal_starts_fresh() {
     let path = temp_journal("empty");
