@@ -348,6 +348,19 @@ if echo "$DIFF_OUT" | grep -Eq '^diff:|RPL004'; then
     echo "FAIL: folded snapshot deltas differ from the replayed state: $DIFF_OUT" >&2
     exit 1
 fi
+
+# A journal from an older format (v3 fingerprints walked the whole job
+# table) must be refused up front with SRV007, not replayed against
+# fingerprints it cannot reproduce (RPL001).
+sed '1s/"version":[0-9]*/"version":3/' "$CHAOS_JOURNAL" >"$TAMPERED"
+if OLD_OUT=$(timeout 60 $CORUN replay "$TAMPERED" 2>&1); then
+    echo "FAIL: a version 3 journal replayed cleanly: $OLD_OUT" >&2
+    exit 1
+fi
+if ! echo "$OLD_OUT" | grep -q 'SRV007' || echo "$OLD_OUT" | grep -q 'RPL001'; then
+    echo "FAIL: a version 3 journal was not refused with SRV007 alone: $OLD_OUT" >&2
+    exit 1
+fi
 rm -f "$CHAOS_LOG" "$CHAOS_JOURNAL" "$TAMPERED"
 
 echo "== corun fleet: sharded smoke (4 daemons, 10k jobs, kill -9 + recover)"

@@ -115,7 +115,7 @@ fn bench_trajectory(c: &mut Criterion) {
     let replay_s = t0.elapsed().as_secs_f64();
 
     let state = replay_records(&recs, &ReplayOptions::default()).state;
-    let encoded = encode_state(&state, 0..state.jobs.len());
+    let encoded = encode_state(&state, 0..state.jobs().len());
     let decodes = 200;
     let t0 = std::time::Instant::now();
     for _ in 0..decodes {

@@ -50,7 +50,7 @@ pub fn cmd_replay(args: &Args) -> Result<(), String> {
         let c = &outcome.state.counters;
         println!(
             "terminal state: {} job(s), {} queued, {} completed, {} dead-lettered, {} eviction(s)",
-            outcome.state.jobs.len(),
+            outcome.state.jobs().len(),
             outcome.state.queue.len(),
             c.completed,
             c.dead_lettered,

@@ -67,7 +67,7 @@ impl Counterexample {
 fn digest(st: &ServiceState) -> String {
     use corun_serve::state::JobState;
     let jobs: Vec<String> = st
-        .jobs
+        .jobs()
         .iter()
         .enumerate()
         .map(|(id, j)| {

@@ -221,7 +221,7 @@ impl Node {
 pub fn enabled(node: &Node, scope: &Scope) -> Vec<Event> {
     let st = &node.st;
     let mut evs = Vec::new();
-    if !st.shutdown && st.jobs.len() < scope.jobs {
+    if !st.shutdown && st.jobs().len() < scope.jobs {
         evs.push(Event::Submit);
         if scope.model_rejects {
             evs.push(Event::SubmitRejected);
@@ -282,7 +282,7 @@ pub fn apply(
     let err = |e: corun_serve::TransitionError| format!("{event}: {e}");
     match event {
         Event::Submit => {
-            let n = node.st.jobs.len();
+            let n = node.st.jobs().len();
             let (_, rec) = node
                 .st
                 .accept(&format!("job#{n}"), "prog", 1.0)
@@ -290,7 +290,7 @@ pub fn apply(
             node.journal.push(rec);
         }
         Event::SubmitRejected => {
-            let n = node.st.jobs.len();
+            let n = node.st.jobs().len();
             let (id, rec) = node
                 .st
                 .accept(&format!("job#{n}"), "prog", 1.0)

@@ -206,7 +206,7 @@ fn apply(
             }
         }
         Record::Dead { id, reason } => {
-            let attempts = out.state.jobs.get(*id).map_or(1, |j| j.retries + 1);
+            let attempts = out.state.jobs().get(*id).map_or(1, |j| j.retries + 1);
             match out
                 .state
                 .fail_with(*id, RequeueOutcome::DeadLetter { attempts }, reason)
@@ -355,14 +355,14 @@ pub fn check_terminal(outcome: &mut ReplayOutcome, expected_fingerprint: u64, wh
 pub fn diff_states(replayed: &ServiceState, recorded: &ServiceState) -> Vec<String> {
     const MAX_DIFFS: usize = 48;
     let mut out = Vec::new();
-    if replayed.jobs.len() != recorded.jobs.len() {
+    if replayed.jobs().len() != recorded.jobs().len() {
         out.push(format!(
             "job table: replayed {} jobs, recorded {}",
-            replayed.jobs.len(),
-            recorded.jobs.len()
+            replayed.jobs().len(),
+            recorded.jobs().len()
         ));
     }
-    for (id, (a, b)) in replayed.jobs.iter().zip(&recorded.jobs).enumerate() {
+    for (id, (a, b)) in replayed.jobs().iter().zip(recorded.jobs()).enumerate() {
         if a == b {
             continue;
         }
@@ -586,7 +586,9 @@ mod tests {
         let (Transcript { mut recs, .. }, _) = trajectory();
         let at = nth_snapshot(&recs, 1);
         let mut recorded = replay_records(&recs[..at], &ReplayOptions::default()).state;
-        recorded.jobs[1].retries += 5;
+        let mut job = recorded.jobs()[1].clone();
+        job.retries += 5;
+        recorded.replace_job(1, job).unwrap();
         let Record::Snapshot {
             fingerprint, state, ..
         } = &mut recs[at]
@@ -647,7 +649,7 @@ mod tests {
         let (recovered, _) = recover_replay(&t.recs);
         let mut st = ServiceState::restore_from(&recovered, 2);
         t.push(Record::Recovered {
-            jobs: st.jobs.len(),
+            jobs: st.jobs().len(),
             machines: 2,
         });
         t.snapshot(&st);
@@ -669,7 +671,9 @@ mod tests {
         let (_, live) = trajectory();
         let mut other = live.clone();
         other.counters.completed += 1;
-        other.jobs[0].retries += 1;
+        let mut job = other.jobs()[0].clone();
+        job.retries += 1;
+        other.replace_job(0, job).unwrap();
         let diffs = diff_states(&live, &other);
         assert_eq!(diffs.len(), 2);
         assert!(diffs.iter().any(|d| d.starts_with("job 0:")));

@@ -141,8 +141,8 @@ fn deltas_fold_to_the_replayed_state_across_a_kill_and_recovery() {
         listed.dedup();
         let first = k == snaps[0].0;
         if first || matches!(records[k - 1], Record::Recovered { .. }) {
-            assert_eq!(listed.len(), replayed.jobs.len(), "record {k}: not full");
-        } else if listed.len() < replayed.jobs.len() {
+            assert_eq!(listed.len(), replayed.jobs().len(), "record {k}: not full");
+        } else if listed.len() < replayed.jobs().len() {
             deltas += 1;
         }
         assert_eq!(
@@ -174,7 +174,9 @@ fn a_job_tampered_in_one_delta_is_what_diff_names() {
         .expect("a delta listing jobs");
     let mut recorded = replay_records(&records[..at], &ReplayOptions::default()).state;
     let victim = listed[0];
-    recorded.jobs[victim].retries += 7;
+    let mut job = recorded.jobs()[victim].clone();
+    job.retries += 7;
+    recorded.replace_job(victim, job).unwrap();
     let Record::Snapshot {
         fingerprint, state, ..
     } = &mut records[at]

@@ -42,8 +42,10 @@ use std::path::Path;
 /// v2 added `machines` to `meta`/`recovered` and the `cap`, `shutdown`,
 /// and `snapshot` record types that make journals deterministically
 /// replayable (`docs/REPLAY.md`). v3 made `snapshot` states deltas: each
-/// lists only the jobs records named since the previous snapshot.
-pub const JOURNAL_FORMAT_VERSION: u32 = 3;
+/// lists only the jobs records named since the previous snapshot. v4
+/// changed the `snapshot` fingerprint's value: its job part is the sum of
+/// per-job digests (`ServiceState::fingerprint`), not a walk of the table.
+pub const JOURNAL_FORMAT_VERSION: u32 = 4;
 
 /// One journal record. The first line of every journal is `Meta`; every
 /// later line describes one state transition, in commit order.

@@ -670,7 +670,7 @@ impl Service {
     /// [`Service::journal_failure`].
     pub fn job_status(&self, id: JobId) -> Option<JobStatus> {
         let mut inner = self.lock();
-        let status = inner.st.jobs.get(id).map(|j| JobStatus {
+        let status = inner.st.jobs().get(id).map(|j| JobStatus {
             id,
             name: j.name.clone(),
             state: j.state.clone(),
@@ -687,7 +687,7 @@ impl Service {
         let mut inner = self.lock();
         let states = ids
             .iter()
-            .map(|&id| inner.st.jobs.get(id).map(|j| j.state.clone()))
+            .map(|&id| inner.st.jobs().get(id).map(|j| j.state.clone()))
             .collect();
         let _ = inner.commit();
         states
@@ -702,7 +702,7 @@ impl Service {
 
     /// Number of jobs the service has ever seen (valid ids are `0..len`).
     pub fn job_count(&self) -> usize {
-        self.lock().st.jobs.len()
+        self.lock().st.jobs().len()
     }
 
     /// A point-in-time metrics snapshot. Advisory: it does not commit,
@@ -778,7 +778,7 @@ impl Service {
     pub fn wait_job(&self, id: JobId) -> Option<JobStatus> {
         let mut inner = self.lock();
         loop {
-            let job = inner.st.jobs.get(id)?;
+            let job = inner.st.jobs().get(id)?;
             if matches!(
                 job.state,
                 JobState::Done { .. } | JobState::Rejected | JobState::DeadLetter { .. }
@@ -806,7 +806,7 @@ impl Service {
             let active = inner.st.queue.len()
                 + inner
                     .st
-                    .jobs
+                    .jobs()
                     .iter()
                     .filter(|j| matches!(j.state, JobState::Running { .. }))
                     .count();
@@ -1010,7 +1010,7 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
                 Ok(j) => {
                     inner.journal = JournalSlot::Open(j);
                     inner.journal_append(&Record::Recovered {
-                        jobs: inner.st.jobs.len(),
+                        jobs: inner.st.jobs().len(),
                         machines: cfg.machines,
                     });
                     // Checkpoint the restored state immediately. The
@@ -1095,19 +1095,19 @@ fn restore(inner: &mut Inner, recovered: &Recovered, specs: Vec<JobSpec>, machin
         policy.admit_job(model, id);
     }
     inner.st = ServiceState::restore_from(recovered, machines);
-    inner.gates = vec![None; inner.st.jobs.len()];
+    inner.gates = vec![None; inner.st.jobs().len()];
     // Keyed submissions use the job name as their idempotency key, so
     // the dedup index survives kill -9 by rebuilding from names. Plain
     // submissions can repeat generated names (`srad@0` per batch) —
     // harmless, those names are never looked up as keys.
     inner.names = inner
         .st
-        .jobs
+        .jobs()
         .iter()
         .enumerate()
         .map(|(id, j)| (j.name.clone(), id))
         .collect();
-    for job in &inner.st.jobs {
+    for job in inner.st.jobs() {
         // Busy-time and makespan accounting only transfers when the
         // machine still exists in this incarnation.
         if let JobState::Done {
@@ -1531,8 +1531,9 @@ struct MachineRun<'m> {
     dispatcher: WorkerDispatcher,
     harvested_records: usize,
     harvested_samples: usize,
-    /// Set when the session last reported `Starved`; cleared whenever a
-    /// peer makes progress so the machine re-polls the queue.
+    /// Set when the session last reported `Starved`, and at start (an
+    /// empty session has nothing to poll for); cleared whenever a peer
+    /// makes progress or work arrives, so the machine re-polls the queue.
     starved: bool,
 }
 
@@ -1580,7 +1581,12 @@ fn worker_loop(shared: Arc<Shared>, machine_ids: Vec<usize>) {
                 dispatcher,
                 harvested_records: 0,
                 harvested_samples: 0,
-                starved: false,
+                // Park until the queue holds work, then wake every
+                // resident machine at once: the first poll after an
+                // admission goes to the earliest clock (lowest index on a
+                // tie), never to whichever machine the thread happened to
+                // be polling when the admission landed.
+                starved: true,
             }
         })
         .collect();
@@ -2061,6 +2067,13 @@ mod tests {
     fn crash_evicts_and_the_fleet_recovers() {
         let mut cfg = tiny_cfg(32);
         cfg.machines = 2;
+        // One worker steps both machines, earliest simulated clock first,
+        // so which machine takes which job does not depend on how the OS
+        // schedules threads: machine 0 polls first and is busy when its
+        // crash comes due. With a thread per machine, a descheduled
+        // machine 0 could sit idle (an idle clock never advances) while
+        // machine 1 ran the whole batch, and the crash never fired.
+        cfg.worker_threads = 1;
         // Machine 0 dies 2 simulated seconds in; machine 1 is unharmed.
         cfg.fault_plan = Some(FaultPlan::parse("@chaos seed=5 crash=0:2\n").unwrap());
         cfg.retry = RetryPolicy {

@@ -91,19 +91,19 @@ fn job_json(j: &JobCore) -> Json {
 
 /// Encode `st` as one snapshot document listing the jobs `ids` names,
 /// each once and in increasing order (duplicates are fine). Every id must
-/// be below `st.jobs.len()`; pass `0..st.jobs.len()` for a full snapshot.
+/// be below `st.jobs().len()`; pass `0..st.jobs().len()` for a full snapshot.
 pub fn encode_state(st: &ServiceState, ids: impl IntoIterator<Item = JobId>) -> String {
     let mut ids: Vec<JobId> = ids.into_iter().collect();
     ids.sort_unstable();
     ids.dedup();
     let c = st.counters;
     obj(vec![
-        ("jobs_len", Json::Num(st.jobs.len() as f64)),
+        ("jobs_len", Json::Num(st.jobs().len() as f64)),
         (
             "jobs",
             Json::Arr(
                 ids.into_iter()
-                    .map(|id| Json::Arr(vec![Json::Num(id as f64), job_json(&st.jobs[id])]))
+                    .map(|id| Json::Arr(vec![Json::Num(id as f64), job_json(&st.jobs()[id])]))
                     .collect(),
             ),
         ),
@@ -244,11 +244,11 @@ fn decode_entry(v: &Json) -> Result<(JobId, JobCore), String> {
 /// document that does not decode exactly is worthless as a replay
 /// checkpoint. So is one that lists an id out of order or at or past
 /// `jobs_len`, shrinks the job table, or leaves unlisted a job it adds
-/// (an id from `st.jobs.len()` up to `jobs_len`).
+/// (an id from `st.jobs().len()` up to `jobs_len`).
 pub fn apply_state(st: &mut ServiceState, text: &str) -> Result<(), String> {
     let v = Json::parse(text).map_err(|e| format!("snapshot is not valid JSON: {e}"))?;
     let jobs_len = req_idx(&v, "jobs_len")?;
-    let known = st.jobs.len();
+    let known = st.jobs().len();
     if jobs_len < known {
         return Err(format!(
             "`jobs_len` {jobs_len} would shrink a job table of {known}"
@@ -313,11 +313,8 @@ pub fn apply_state(st: &mut ServiceState, text: &str) -> Result<(), String> {
     };
     let shutdown = req_bool(&v, "shutdown")?;
     for (id, job) in jobs {
-        if id < known {
-            st.jobs[id] = job;
-        } else {
-            st.jobs.push(job);
-        }
+        st.replace_job(id, job)
+            .expect("listed ids were checked against the table above");
     }
     st.queue = queue;
     st.machines = machines;
@@ -368,12 +365,12 @@ mod tests {
     #[test]
     fn snapshot_roundtrip_preserves_state_and_fingerprint() {
         let st = busy_state();
-        let text = encode_state(&st, 0..st.jobs.len());
+        let text = encode_state(&st, 0..st.jobs().len());
         let back = fold(std::slice::from_ref(&text)).expect("decode");
         assert_eq!(back, st);
         assert_eq!(back.fingerprint(), st.fingerprint());
         // And the encoding itself is stable across a second round-trip.
-        assert_eq!(encode_state(&back, 0..back.jobs.len()), text);
+        assert_eq!(encode_state(&back, 0..back.jobs().len()), text);
     }
 
     #[test]

@@ -219,14 +219,20 @@ impl std::fmt::Display for Violation {
 
 /// The explicit service state every transition is a pure function over.
 ///
-/// Fields are public so the daemon driver and the model checker can
-/// *read* them freely (and so the checker's test-only mutation hook can
-/// corrupt them deliberately); by convention all legitimate writes go
-/// through the transition methods.
+/// The queue, machines, flag and counters are public so the daemon
+/// driver and the model checker can *read* them freely (and so the
+/// checker's test-only mutation hook can corrupt them deliberately); by
+/// convention all legitimate writes go through the transition methods.
+/// The job table is private behind [`ServiceState::jobs`]: every write
+/// to it must also update the running digest the fingerprint reads, and
+/// the compiler holds writers to that.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceState {
     /// Every job ever accepted, dense by [`JobId`].
-    pub jobs: Vec<JobCore>,
+    jobs: Vec<JobCore>,
+    /// Wrapping sum of `job_digest` over `jobs`, kept in step by
+    /// `push_job` and `edit_job` so a fingerprint never walks the table.
+    jobs_digest: u64,
     /// Admitted jobs awaiting dispatch, in arrival order (requeues go to
     /// the back).
     pub queue: VecDeque<JobId>,
@@ -243,6 +249,7 @@ impl ServiceState {
     pub fn new(machines: usize) -> ServiceState {
         ServiceState {
             jobs: Vec::new(),
+            jobs_digest: 0,
             queue: VecDeque::new(),
             machines: vec![MachineCore::default(); machines],
             shutdown: false,
@@ -261,8 +268,7 @@ impl ServiceState {
         if self.shutdown {
             return Err(TransitionError::ShuttingDown);
         }
-        let id = self.jobs.len();
-        self.jobs.push(JobCore {
+        let id = self.push_job(JobCore {
             name: name.to_string(),
             program: program.to_string(),
             scale,
@@ -286,14 +292,11 @@ impl ServiceState {
     /// Refuse an accepted-but-still-queued job (cap-infeasible after
     /// profiling). Returns the `Reject` record to journal.
     pub fn reject(&mut self, id: JobId) -> Result<Record, TransitionError> {
-        let job = self
-            .jobs
-            .get_mut(id)
-            .ok_or(TransitionError::UnknownJob(id))?;
+        let job = self.jobs.get(id).ok_or(TransitionError::UnknownJob(id))?;
         if job.state != JobState::Queued {
             return Err(TransitionError::NotQueued(id));
         }
-        job.state = JobState::Rejected;
+        self.edit_job(id, |j| j.state = JobState::Rejected);
         self.queue.retain(|&j| j != id);
         self.counters.rejected += 1;
         Ok(Record::Reject { id })
@@ -329,15 +332,16 @@ impl ServiceState {
             });
         }
         self.queue.retain(|&j| j != id);
-        let job = &mut self.jobs[id];
-        job.state = JobState::Running {
-            machine,
-            device,
-            start_s,
-            predicted_s,
-        };
-        job.dispatches += 1;
-        let attempt = job.retries;
+        let attempt = self.edit_job(id, |j| {
+            j.state = JobState::Running {
+                machine,
+                device,
+                start_s,
+                predicted_s,
+            };
+            j.dispatches += 1;
+            j.retries
+        });
         self.machines[machine].running[device.index()] = Some(id);
         self.counters.dispatched += 1;
         Ok(Record::Dispatch {
@@ -363,13 +367,15 @@ impl ServiceState {
         else {
             return Err(TransitionError::NotRunning(id));
         };
-        self.jobs[id].state = JobState::Done {
-            machine,
-            device,
-            start_s,
-            end_s,
-            predicted_s,
-        };
+        self.edit_job(id, |j| {
+            j.state = JobState::Done {
+                machine,
+                device,
+                start_s,
+                end_s,
+                predicted_s,
+            }
+        });
         self.release_slot(machine, device, id);
         self.counters.completed += 1;
         Ok(Record::Done {
@@ -426,12 +432,13 @@ impl ServiceState {
             return Err(TransitionError::NotRunning(id));
         };
         self.release_slot(machine, device, id);
-        let job = &mut self.jobs[id];
         let record = match outcome {
             RequeueOutcome::DeadLetter { .. } => {
-                job.state = JobState::DeadLetter {
-                    reason: reason.to_string(),
-                };
+                self.edit_job(id, |j| {
+                    j.state = JobState::DeadLetter {
+                        reason: reason.to_string(),
+                    }
+                });
                 self.counters.dead_lettered += 1;
                 Record::Dead {
                     id,
@@ -439,8 +446,10 @@ impl ServiceState {
                 }
             }
             RequeueOutcome::Retry { attempt, backoff_s } => {
-                job.retries = attempt;
-                job.state = JobState::Queued;
+                self.edit_job(id, |j| {
+                    j.retries = attempt;
+                    j.state = JobState::Queued;
+                });
                 self.queue.push_back(id);
                 self.counters.requeued += 1;
                 Record::Requeue {
@@ -536,6 +545,47 @@ impl ServiceState {
         }
     }
 
+    /// Every job ever accepted, dense by [`JobId`].
+    pub fn jobs(&self) -> &[JobCore] {
+        &self.jobs
+    }
+
+    /// Overwrite job `id` with `job`, or append it when `id` is the next
+    /// free id, keeping the fingerprint's digest in step. This is the
+    /// only public write to the job table: snapshot folding uses it to
+    /// install decoded jobs, and tests use it to tamper with one.
+    pub fn replace_job(&mut self, id: JobId, job: JobCore) -> Result<(), TransitionError> {
+        match id.cmp(&self.jobs.len()) {
+            std::cmp::Ordering::Less => self.edit_job(id, |j| *j = job),
+            std::cmp::Ordering::Equal => {
+                self.push_job(job);
+            }
+            std::cmp::Ordering::Greater => return Err(TransitionError::UnknownJob(id)),
+        }
+        Ok(())
+    }
+
+    /// Append `job` to the table and its digest to the running sum.
+    fn push_job(&mut self, job: JobCore) -> JobId {
+        let id = self.jobs.len();
+        self.jobs_digest = self.jobs_digest.wrapping_add(job_digest(id, &job));
+        self.jobs.push(job);
+        id
+    }
+
+    /// Apply `f` to job `id`, swapping its old digest for its new one in
+    /// the running sum. `id` must be in range.
+    fn edit_job<T>(&mut self, id: JobId, f: impl FnOnce(&mut JobCore) -> T) -> T {
+        let job = &mut self.jobs[id];
+        let old = job_digest(id, job);
+        let out = f(job);
+        self.jobs_digest = self
+            .jobs_digest
+            .wrapping_sub(old)
+            .wrapping_add(job_digest(id, job));
+        out
+    }
+
     /// Rebuild the state a successful journal replay describes: done
     /// work stays done, pending/in-flight work is re-queued, consumed
     /// retries survive. Machines start fresh (the old incarnation's
@@ -582,7 +632,7 @@ impl ServiceState {
                 JobState::Running { .. } => unreachable!("replay never yields a running job"),
             }
             st.counters.requeued += rj.retries as usize;
-            st.jobs.push(JobCore {
+            st.push_job(JobCore {
                 name: rj.name.clone(),
                 program: rj.program.clone(),
                 scale: rj.scale,
@@ -746,6 +796,23 @@ impl ServiceState {
                 );
             }
         }
+
+        // Digest drift: the running sum the fingerprint reads against the
+        // job table, summed from scratch.
+        let table_digest = self
+            .jobs
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (id, j)| acc.wrapping_add(job_digest(id, j)));
+        if self.jobs_digest != table_digest {
+            push(
+                ViolationKind::BooksImbalance,
+                format!(
+                    "jobs digest {:016x} but the job table sums to {table_digest:016x}",
+                    self.jobs_digest
+                ),
+            );
+        }
         out
     }
 
@@ -812,54 +879,18 @@ impl ServiceState {
         out
     }
 
-    /// A 64-bit fingerprint of the whole state (FNV-1a over a canonical
-    /// byte walk), for the model checker's visited-state memoization.
-    /// Equal states fingerprint equal; collisions are possible but at
-    /// 64 bits negligible at model-checking scope.
+    /// A 64-bit fingerprint of the whole state, for the model checker's
+    /// visited-state memoization and the journal's snapshot checkpoints.
+    /// It is FNV-1a over the job count, the running job digest (the
+    /// wrapping sum of `job_digest` over the table), the queue, the
+    /// machines, the shutdown flag and the counters, so it costs
+    /// O(queue + machines), not O(jobs ever admitted). Equal states
+    /// fingerprint equal; collisions are possible but at 64 bits
+    /// negligible at model-checking scope.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.jobs.len() as u64);
-        for j in &self.jobs {
-            h.str(&j.name);
-            h.str(&j.program);
-            h.f64(j.scale);
-            h.u64(u64::from(j.retries));
-            h.u64(u64::from(j.dispatches));
-            match &j.state {
-                JobState::Queued => h.u64(0),
-                JobState::Rejected => h.u64(1),
-                JobState::Running {
-                    machine,
-                    device,
-                    start_s,
-                    predicted_s,
-                } => {
-                    h.u64(2);
-                    h.u64(*machine as u64);
-                    h.u64(device.index() as u64);
-                    h.f64(*start_s);
-                    h.f64(*predicted_s);
-                }
-                JobState::Done {
-                    machine,
-                    device,
-                    start_s,
-                    end_s,
-                    predicted_s,
-                } => {
-                    h.u64(3);
-                    h.u64(*machine as u64);
-                    h.u64(device.index() as u64);
-                    h.f64(*start_s);
-                    h.f64(*end_s);
-                    h.f64(*predicted_s);
-                }
-                JobState::DeadLetter { reason } => {
-                    h.u64(4);
-                    h.str(reason);
-                }
-            }
-        }
+        h.u64(self.jobs_digest);
         h.u64(self.queue.len() as u64);
         for &id in &self.queue {
             h.u64(id as u64);
@@ -891,6 +922,61 @@ impl ServiceState {
         }
         h.finish()
     }
+}
+
+/// FNV-1a over job `id` and a canonical walk of `j`'s fields, with a
+/// splitmix64 finalizer. The fingerprint sums these digests, and a sum
+/// ignores order, so the id is hashed in: the same two jobs at swapped
+/// ids digest differently. The finalizer matters for the same reason:
+/// raw FNV-1a digests of near-identical jobs are correlated, and their
+/// sums collided often enough that the model checker merged distinct
+/// states.
+fn job_digest(id: JobId, j: &JobCore) -> u64 {
+    let mut h = Fnv::new();
+    h.u64(id as u64);
+    h.str(&j.name);
+    h.str(&j.program);
+    h.f64(j.scale);
+    h.u64(u64::from(j.retries));
+    h.u64(u64::from(j.dispatches));
+    match &j.state {
+        JobState::Queued => h.u64(0),
+        JobState::Rejected => h.u64(1),
+        JobState::Running {
+            machine,
+            device,
+            start_s,
+            predicted_s,
+        } => {
+            h.u64(2);
+            h.u64(*machine as u64);
+            h.u64(device.index() as u64);
+            h.f64(*start_s);
+            h.f64(*predicted_s);
+        }
+        JobState::Done {
+            machine,
+            device,
+            start_s,
+            end_s,
+            predicted_s,
+        } => {
+            h.u64(3);
+            h.u64(*machine as u64);
+            h.u64(device.index() as u64);
+            h.f64(*start_s);
+            h.f64(*end_s);
+            h.f64(*predicted_s);
+        }
+        JobState::DeadLetter { reason } => {
+            h.u64(4);
+            h.str(reason);
+        }
+    }
+    let mut z = h.finish();
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// FNV-1a, 64-bit. Deterministic across runs and platforms (no
@@ -1146,6 +1232,145 @@ mod tests {
     }
 
     #[test]
+    fn swapped_ids_fingerprint_differently() {
+        // A sum ignores order, so without the id in each digest these two
+        // tables (the same two jobs, swapped) would fingerprint alike.
+        let mut a = ServiceState::new(1);
+        a.accept("srad#0", "srad", 0.2).unwrap();
+        a.accept("lud#0", "lud", 0.1).unwrap();
+        let mut b = ServiceState::new(1);
+        b.accept("lud#0", "lud", 0.1).unwrap();
+        b.accept("srad#0", "srad", 0.2).unwrap();
+        assert_eq!(a.jobs()[0], b.jobs()[1]);
+        assert_eq!(a.jobs()[1], b.jobs()[0]);
+        assert_eq!((a.queue.clone(), a.counters), (b.queue.clone(), b.counters));
+        assert_ne!(a.fingerprint(), b.fingerprint());
+    }
+
+    #[test]
+    fn replace_job_keeps_the_digest_and_refuses_gaps() {
+        let mut st = ServiceState::new(1);
+        st.accept("srad#0", "srad", 0.2).unwrap();
+        let before = st.fingerprint();
+        let mut job = st.jobs()[0].clone();
+        job.retries += 1;
+        st.replace_job(0, job.clone()).unwrap();
+        assert_eq!(st.jobs_digest, scratch_digest(&st));
+        assert_ne!(st.fingerprint(), before);
+        st.replace_job(1, job.clone()).unwrap();
+        assert_eq!(st.jobs().len(), 2);
+        assert_eq!(st.jobs_digest, scratch_digest(&st));
+        assert_eq!(st.replace_job(3, job), Err(TransitionError::UnknownJob(3)));
+    }
+
+    /// The job digest summed from scratch over the table.
+    fn scratch_digest(st: &ServiceState) -> u64 {
+        st.jobs()
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (id, j)| acc.wrapping_add(job_digest(id, j)))
+    }
+
+    const WALK_MACHINES: usize = 2;
+
+    /// Apply one random step to `st`, journaling its records to `log`
+    /// and the ids it named to `touched`. Refused transitions are
+    /// skipped, as a random walk proposes illegal moves. Step 6 is a
+    /// kill and restart (`restore_from` of the replayed journal); step 7
+    /// folds the records since the last fold into `folded` through
+    /// `snapshot::apply_state`.
+    fn walk_step(
+        (op, a, b): (usize, usize, usize),
+        st: &mut ServiceState,
+        folded: &mut ServiceState,
+        log: &mut Vec<Record>,
+        touched: &mut Vec<JobId>,
+    ) {
+        let retry = retry();
+        let jobs = st.jobs().len();
+        match op {
+            0 => {
+                if let Ok((id, rec)) = st.accept(&format!("job#{jobs}"), "prog", 1.0) {
+                    log.push(rec);
+                    touched.push(id);
+                }
+            }
+            1 if jobs > 0 => {
+                let device = if b % 2 == 0 { Device::Cpu } else { Device::Gpu };
+                if let Ok(rec) = st.dispatch(a % jobs, b % WALK_MACHINES, device, a as f64, 1.5) {
+                    log.push(rec);
+                    touched.push(a % jobs);
+                }
+            }
+            2 if jobs > 0 => {
+                if let Ok(rec) = st.complete(a % jobs, b as f64 + 0.25) {
+                    log.push(rec);
+                    touched.push(a % jobs);
+                }
+            }
+            3 if jobs > 0 => {
+                if let Ok(report) = st.fail(a % jobs, &retry, "walk failure") {
+                    log.push(report.record);
+                    touched.push(a % jobs);
+                }
+            }
+            4 if jobs > 0 => {
+                if let Ok(rec) = st.reject(a % jobs) {
+                    log.push(rec);
+                    touched.push(a % jobs);
+                }
+            }
+            5 => {
+                if let Ok((evict, reports)) = st.crash(a % WALK_MACHINES, 1.0, &retry, "crash") {
+                    log.push(evict);
+                    for r in reports {
+                        touched.push(r.job);
+                        log.push(r.record);
+                    }
+                }
+            }
+            6 => {
+                let (recovered, _) = replay(log);
+                log.push(Record::Recovered {
+                    jobs: recovered.jobs.len(),
+                    machines: WALK_MACHINES,
+                });
+                *st = ServiceState::restore_from(&recovered, WALK_MACHINES);
+                touched.extend(0..st.jobs().len());
+            }
+            7 => {
+                let doc = crate::snapshot::encode_state(st, touched.drain(..));
+                crate::snapshot::apply_state(folded, &doc).expect("a delta folds");
+                assert_eq!(folded, st, "the folded snapshots drifted from the state");
+            }
+            _ => {}
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Whatever sequence of transitions, restarts and snapshot folds
+        /// runs, the maintained digest equals the from-scratch sum after
+        /// every step, in the live state and in the folded one.
+        #[test]
+        fn maintained_digest_matches_a_scratch_sum(
+            steps in proptest::collection::vec((0usize..8, 0usize..6, 0usize..4), 0..64)
+        ) {
+            let mut st = ServiceState::new(WALK_MACHINES);
+            let mut folded = ServiceState::new(0);
+            let mut log = Vec::new();
+            let mut touched = Vec::new();
+            for step in steps {
+                walk_step(step, &mut st, &mut folded, &mut log, &mut touched);
+                proptest::prop_assert_eq!(st.jobs_digest, scratch_digest(&st), "after {:?}", step);
+                proptest::prop_assert_eq!(folded.jobs_digest, scratch_digest(&folded));
+                proptest::prop_assert!(st.check_invariants().is_empty(), "{:?}", st.check_invariants());
+            }
+        }
+    }
+
+    #[test]
     fn seeded_corruption_is_caught() {
         // The checks the model checker relies on actually fire.
         let mut st = ServiceState::new(1);
@@ -1171,5 +1396,13 @@ mod tests {
             .check_invariants()
             .iter()
             .any(|v| v.kind == ViolationKind::BooksImbalance));
+
+        let mut st = ServiceState::new(1);
+        st.accept("srad#0", "srad", 0.2).unwrap();
+        st.jobs_digest ^= 1; // a write that skipped the digest
+        assert!(st
+            .check_invariants()
+            .iter()
+            .any(|v| v.kind == ViolationKind::BooksImbalance && v.detail.contains("digest")));
     }
 }

@@ -30,7 +30,7 @@ fn walk(steps: &[Step]) -> (ServiceState, Vec<Record>) {
     let mut st = ServiceState::new(MACHINES);
     let mut journal: Vec<Record> = Vec::new();
     for &(op, a, b) in steps {
-        let jobs = st.jobs.len();
+        let jobs = st.jobs().len();
         match op {
             0 => {
                 if let Ok((_, rec)) = st.accept(&format!("job#{jobs}"), "prog", 1.0) {
