@@ -608,6 +608,14 @@ echo "== corun fleet: event-driven smoke (8 shards x 16 machines, 20k jobs)"
 timeout 1200 cargo test --release -q -p corun-fleet --test fleet_chaos \
     event_driven_fleet_smoke -- --ignored
 
+echo "== offline class cache: paper settings, shared cache vs none"
+# The paper's configuration (measured profiles, LLC probe, 3x3 stages)
+# over rodinia16 seeds 1-10, once through one config whose class cache
+# every batch shares and once with a fresh config per batch: every HCS+
+# schedule, lower bound and executed makespan must agree bit for bit.
+timeout 600 cargo test --release -q -p runtime --lib \
+    a_shared_class_cache_changes_no_outcome_at_paper_settings -- --ignored
+
 echo "== perf gate: simulator throughput vs committed BENCH_sim.json"
 # Fails if simulated-seconds-per-wall-second regresses more than 30%
 # below the committed trajectory baseline.

@@ -14,6 +14,7 @@
 
 use crate::characterize::Stage;
 use crate::profile::{idle_package_power, JobProfile};
+use crate::surface::{bracket, Bracket};
 use apu_sim::{Device, FreqSetting, MachineConfig, PerDevice};
 use serde::{Deserialize, Serialize};
 
@@ -67,10 +68,6 @@ impl StagedPredictor {
         &self.stages
     }
 
-    fn stage(&self, ci: usize, gi: usize) -> &Stage {
-        &self.stages[self.stage_index[ci * self.gpu_ghz_axis.len() + gi]]
-    }
-
     /// Predict the degradation of the job on `device` whose solo demand at
     /// the queried setting is `own_demand`, co-running against a job with
     /// solo demand `co_demand`, at clocks `(cpu_ghz, gpu_ghz)`.
@@ -82,16 +79,73 @@ impl StagedPredictor {
         cpu_ghz: f64,
         gpu_ghz: f64,
     ) -> f64 {
-        let (c0, c1, tx) = bracket(&self.cpu_ghz_axis, cpu_ghz);
-        let (g0, g1, ty) = bracket(&self.gpu_ghz_axis, gpu_ghz);
-        let q = |ci: usize, gi: usize| {
-            self.stage(ci, gi)
-                .surface
-                .degradation(device, own_demand, co_demand)
-        };
-        let a = q(c0, g0) + (q(c0, g1) - q(c0, g0)) * ty;
-        let b = q(c1, g0) + (q(c1, g1) - q(c1, g0)) * ty;
+        self.blend(
+            bracket(&self.cpu_ghz_axis, cpu_ghz),
+            bracket(&self.gpu_ghz_axis, gpu_ghz),
+            |k| {
+                self.stages[k]
+                    .surface
+                    .degradation(device, own_demand, co_demand)
+            },
+        )
+    }
+
+    /// The bilinear blend across the stage grid (step 3 of the module
+    /// docs), given the brackets of the queried clocks on the two stage
+    /// axes. `q(k)` reads the degradation of stage `self.stages[k]` and is
+    /// called once for each of the four stages around the query. The one
+    /// definition of this arithmetic, shared by
+    /// [`degradation_at`](Self::degradation_at) and
+    /// [`BatchDegradations::degradation`].
+    #[inline]
+    fn blend(&self, (c0, c1, tx): Bracket, (g0, g1, ty): Bracket, q: impl Fn(usize) -> f64) -> f64 {
+        let q = |ci: usize, gi: usize| q(self.stage_index[ci * self.gpu_ghz_axis.len() + gi]);
+        let (q00, q01, q10, q11) = (q(c0, g0), q(c0, g1), q(c1, g0), q(c1, g1));
+        let a = q00 + (q01 - q00) * ty;
+        let b = q10 + (q11 - q10) * ty;
         (a + (b - a) * tx).max(0.0)
+    }
+
+    /// Locate every clock and every demand of `profiles` on the stage and
+    /// surface axes once, so that a dense table over the batch's pairs and
+    /// levels pays only the blends (see [`BatchDegradations`]).
+    pub fn prepare_batch(
+        &self,
+        cfg: &MachineConfig,
+        profiles: &[JobProfile],
+    ) -> BatchDegradations<'_> {
+        let k_cpu = cfg.freqs.cpu.len();
+        let k_gpu = cfg.freqs.gpu.len();
+        // Each stage's grid of `surface` has its own demand axes; one
+        // table per (surface, side), laid out `[(stage * n + job) * k + level]`.
+        let locate = |surface: Device, side: Device, k: usize| -> Vec<Bracket> {
+            let mut out = Vec::with_capacity(self.stages.len() * profiles.len() * k);
+            for stage in &self.stages {
+                let grid = stage.surface.deg.get(surface);
+                let axis = match side {
+                    Device::Cpu => &grid.cpu_axis,
+                    Device::Gpu => &grid.gpu_axis,
+                };
+                for p in profiles {
+                    out.extend((0..k).map(|level| bracket(axis, p.demand(side, level))));
+                }
+            }
+            out
+        };
+        BatchDegradations {
+            predictor: self,
+            jobs: profiles.len(),
+            k_cpu,
+            k_gpu,
+            cpu_ghz: (0..k_cpu)
+                .map(|f| bracket(&self.cpu_ghz_axis, cfg.freqs.cpu.ghz(f)))
+                .collect(),
+            gpu_ghz: (0..k_gpu)
+                .map(|g| bracket(&self.gpu_ghz_axis, cfg.freqs.gpu.ghz(g)))
+                .collect(),
+            cpu_side: PerDevice::from_fn(|surface| locate(surface, Device::Cpu, k_cpu)),
+            gpu_side: PerDevice::from_fn(|surface| locate(surface, Device::Gpu, k_gpu)),
+        }
     }
 
     /// `d_{i,p,f}^{j,g}` for real programs: degradation of `cpu_job` at CPU
@@ -160,6 +214,50 @@ impl StagedPredictor {
     }
 }
 
+/// A [`StagedPredictor`] with every bracket search for one batch of
+/// profiles already done (by [`StagedPredictor::prepare_batch`]): the stage
+/// brackets of each CPU and GPU level's clock, and the demand brackets of
+/// each (stage, surface, job, level). A query then costs the four-stage
+/// blend alone and returns exactly what
+/// [`degradation_at`](StagedPredictor::degradation_at) returns for the
+/// same pair at the same levels.
+pub struct BatchDegradations<'a> {
+    predictor: &'a StagedPredictor,
+    jobs: usize,
+    k_cpu: usize,
+    k_gpu: usize,
+    cpu_ghz: Vec<Bracket>,
+    gpu_ghz: Vec<Bracket>,
+    cpu_side: PerDevice<Vec<Bracket>>,
+    gpu_side: PerDevice<Vec<Bracket>>,
+}
+
+impl BatchDegradations<'_> {
+    /// Degradation of the job on `device` when batch job `cpu_job` runs on
+    /// the CPU at level `f` and batch job `gpu_job` on the GPU at level
+    /// `g`.
+    #[inline]
+    pub fn degradation(
+        &self,
+        device: Device,
+        cpu_job: usize,
+        f: usize,
+        gpu_job: usize,
+        g: usize,
+    ) -> f64 {
+        let p = self.predictor;
+        let cpu_side = self.cpu_side.get(device);
+        let gpu_side = self.gpu_side.get(device);
+        p.blend(self.cpu_ghz[f], self.gpu_ghz[g], |k| {
+            p.stages[k].surface.degradation_bracketed(
+                device,
+                cpu_side[(k * self.jobs + cpu_job) * self.k_cpu + f],
+                gpu_side[(k * self.jobs + gpu_job) * self.k_gpu + g],
+            )
+        })
+    }
+}
+
 fn dedup_sorted(v: &mut Vec<f64>) {
     v.sort_by(|a, b| a.partial_cmp(b).unwrap());
     v.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
@@ -169,29 +267,6 @@ fn position(axis: &[f64], x: f64) -> usize {
     axis.iter()
         .position(|&v| (v - x).abs() < 1e-9)
         .expect("stage clock must be on the axis")
-}
-
-/// Bracket `x` in `axis` (clamped), returning `(lo, hi, weight)`.
-fn bracket(axis: &[f64], x: f64) -> (usize, usize, f64) {
-    let n = axis.len();
-    if n == 1 || x <= axis[0] {
-        return (0, 0, 0.0);
-    }
-    if x >= axis[n - 1] {
-        return (n - 1, n - 1, 0.0);
-    }
-    let mut lo = 0;
-    let mut hi = n - 1;
-    while hi - lo > 1 {
-        let mid = (lo + hi) / 2;
-        if axis[mid] <= x {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    let t = (x - axis[lo]) / (axis[hi] - axis[lo]);
-    (lo, hi, t)
 }
 
 #[cfg(test)]

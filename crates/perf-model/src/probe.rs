@@ -16,8 +16,9 @@
 //! single probe point is not enough; three points (2.25, 4.5, 9 GB/s) with
 //! piecewise-linear interpolation capture the knee.
 //!
-//! Cost: `6N` extra profiling runs — the same order as standalone
-//! profiling itself, far below the `O(N^2 K^2)` of exhaustive pair
+//! Cost: `8N` extra profiling runs (per device, one solo run and one
+//! co-run per probe demand) — the same order as standalone profiling
+//! itself, far below the `O(N^2 K^2)` of exhaustive pair
 //! profiling the paper set out to avoid.
 
 use crate::predictor::StagedPredictor;

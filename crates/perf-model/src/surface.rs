@@ -44,8 +44,15 @@ impl Grid2D {
     /// the axes are clamped to the boundary (demands beyond the measured
     /// peak behave like the peak).
     pub fn interpolate(&self, cpu_demand: f64, gpu_demand: f64) -> f64 {
-        let (i0, i1, tx) = bracket(&self.cpu_axis, cpu_demand);
-        let (j0, j1, ty) = bracket(&self.gpu_axis, gpu_demand);
+        self.interpolate_bracketed(
+            bracket(&self.cpu_axis, cpu_demand),
+            bracket(&self.gpu_axis, gpu_demand),
+        )
+    }
+
+    /// [`interpolate`](Self::interpolate) at a query already located on
+    /// both axes.
+    fn interpolate_bracketed(&self, (i0, i1, tx): Bracket, (j0, j1, ty): Bracket) -> f64 {
         let v00 = self.at(i0, j0);
         let v01 = self.at(i0, j1);
         let v10 = self.at(i1, j0);
@@ -75,11 +82,14 @@ impl Grid2D {
     }
 }
 
-/// Locate `x` within `axis`: returns `(lower index, upper index, weight)`
-/// with the query clamped to the axis range.
-fn bracket(axis: &[f64], x: f64) -> (usize, usize, f64) {
+/// Where a query falls on an axis: `(lower index, upper index, weight of
+/// the upper node)`.
+pub(crate) type Bracket = (usize, usize, f64);
+
+/// Locate `x` within `axis`, with the query clamped to the axis range.
+pub(crate) fn bracket(axis: &[f64], x: f64) -> Bracket {
     let n = axis.len();
-    if x <= axis[0] {
+    if n == 1 || x <= axis[0] {
         return (0, 0, 0.0);
     }
     if x >= axis[n - 1] {
@@ -114,11 +124,24 @@ impl DegradationSurface {
     /// `own_demand` and the co-runner's is `co_demand` (both GB/s).
     pub fn degradation(&self, device: Device, own_demand: f64, co_demand: f64) -> f64 {
         let g = self.deg.get(device);
-        let v = match device {
-            Device::Cpu => g.interpolate(own_demand, co_demand),
-            Device::Gpu => g.interpolate(co_demand, own_demand),
+        let (cpu_demand, gpu_demand) = match device {
+            Device::Cpu => (own_demand, co_demand),
+            Device::Gpu => (co_demand, own_demand),
         };
-        v.max(0.0)
+        self.degradation_bracketed(
+            device,
+            bracket(&g.cpu_axis, cpu_demand),
+            bracket(&g.gpu_axis, gpu_demand),
+        )
+    }
+
+    /// [`degradation`](Self::degradation) with the CPU-side and GPU-side
+    /// jobs' demands already located on the axes of `device`'s grid.
+    pub(crate) fn degradation_bracketed(&self, device: Device, cpu: Bracket, gpu: Bracket) -> f64 {
+        self.deg
+            .get(device)
+            .interpolate_bracketed(cpu, gpu)
+            .max(0.0)
     }
 }
 

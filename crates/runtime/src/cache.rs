@@ -1,15 +1,30 @@
-//! On-disk caching of the per-machine characterization.
+//! What the offline stage learns once and reuses: the per-machine
+//! characterization, and each distinct program's profile and LLC
+//! vulnerability.
 //!
 //! Characterizing the co-run degradation space costs hundreds of
 //! micro-benchmark co-runs, but depends only on the *machine* — not on the
 //! batch. A deployed runtime therefore measures it once and reuses it; this
 //! module keys the cached stages by a fingerprint of the machine
 //! configuration and the characterization parameters, so any change to
-//! either invalidates the cache.
+//! either invalidates the cache. [`characterize_cached`] keeps them on
+//! disk.
+//!
+//! Profiles and probes depend on the program, not on the job that names
+//! it (paper Section V profiles each program once). A class cache,
+//! shared by every clone of one [`crate::RuntimeConfig`], holds them in
+//! memory per *class*: a job spec with its name left out, under the
+//! machine, characterization and profile method it was measured with. It
+//! also holds the stages last loaded, so a batch re-reads neither.
 
-use apu_sim::MachineConfig;
-use perf_model::{characterize, load_stages, save_stages, CharacterizeConfig, Stage};
+use apu_sim::{JobSpec, MachineConfig, PhaseWork};
+use perf_model::{
+    characterize, load_stages, measure_llc_vulnerability, profile_job, save_stages,
+    CharacterizeConfig, JobProfile, LlcVulnerability, ProfileMethod, Stage, StagedPredictor,
+};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Version of the fingerprint input format.
 ///
@@ -66,6 +81,241 @@ pub fn characterize_cached(
     (stages, false)
 }
 
+/// Most classes a [`ClassCache`] holds. Past it, the class used least
+/// recently is dropped; every class of a batch is used during that batch,
+/// so a program that recurs in every batch of fewer distinct programs
+/// than this is never the one dropped.
+const CLASS_CAPACITY: usize = 256;
+
+/// A class: one job spec, name aside, measured under one machine,
+/// characterization and profile method.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct ClassKey {
+    /// [`spec_digest`] of the spec.
+    spec: u64,
+    /// [`fingerprint`] of the machine and characterization.
+    stages: u64,
+    /// The [`ProfileMethod`], as its discriminant.
+    method: u8,
+}
+
+struct Class {
+    /// The spec with its name blanked. A hit also needs the looked-up spec
+    /// to equal it, so two specs whose digests collide cannot share a
+    /// profile.
+    spec: JobSpec,
+    /// The profile, name blanked too: a hit relabels it.
+    profile: JobProfile,
+    vulnerability: Option<LlcVulnerability>,
+    /// Lookup stamp of the last hit or insertion.
+    last_used: u64,
+}
+
+/// Characterization stages and per-class profiles and vulnerabilities,
+/// shared by every clone of the config that created it (see the module
+/// docs). Cloning the handle shares the cache; nothing else creates one.
+#[derive(Clone, Default)]
+pub(crate) struct ClassCache(Arc<Mutex<Classes>>);
+
+#[derive(Default)]
+struct Classes {
+    /// The stages last loaded, under their [`fingerprint`].
+    stages: Option<(u64, Vec<Stage>)>,
+    classes: HashMap<ClassKey, Class>,
+    /// Lookups so far; stamps `Class::last_used`.
+    clock: u64,
+    #[cfg(test)]
+    misses: usize,
+}
+
+impl std::fmt::Debug for ClassCache {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ClassCache").finish_non_exhaustive()
+    }
+}
+
+impl ClassCache {
+    fn lock(&self) -> MutexGuard<'_, Classes> {
+        self.0
+            .lock()
+            .expect("class cache lock poisoned: a thread panicked while holding it")
+    }
+
+    /// The characterization stages for `(cfg, ccfg)` and their
+    /// [`fingerprint`]: from memory if they were loaded last, else from
+    /// [`characterize_cached`] under `dir`, or measured when `dir` is
+    /// `None`.
+    pub(crate) fn stages(
+        &self,
+        cfg: &MachineConfig,
+        ccfg: &CharacterizeConfig,
+        dir: Option<&Path>,
+    ) -> (u64, Vec<Stage>) {
+        let fp = fingerprint(cfg, ccfg);
+        if let Some((_, stages)) = self.lock().stages.as_ref().filter(|(k, _)| *k == fp) {
+            return (fp, stages.clone());
+        }
+        let stages = match dir {
+            Some(dir) => characterize_cached(cfg, ccfg, dir).0,
+            None => characterize(cfg, ccfg),
+        };
+        self.lock().stages = Some((fp, stages.clone()));
+        (fp, stages)
+    }
+
+    /// `job`'s profile under `method`, labelled with `job`'s name, and,
+    /// when `probe` is set, its LLC vulnerability against `predictor`,
+    /// the predictor over the stages [`stages`](Self::stages) returned
+    /// with fingerprint `stages_fp`. A class seen before is answered from
+    /// memory; a new one is measured with the lock released.
+    pub(crate) fn profile(
+        &self,
+        cfg: &MachineConfig,
+        predictor: &StagedPredictor,
+        stages_fp: u64,
+        method: ProfileMethod,
+        probe: bool,
+        job: &JobSpec,
+    ) -> (JobProfile, Option<LlcVulnerability>) {
+        let key = ClassKey {
+            spec: spec_digest(job),
+            stages: stages_fp,
+            method: method as u8,
+        };
+        let spec = JobSpec {
+            name: String::new(),
+            ..job.clone()
+        };
+        if let Some(class) = self.lock().get(key, &spec, probe) {
+            let profile = JobProfile {
+                name: job.name.clone(),
+                ..class.profile.clone()
+            };
+            return (profile, class.vulnerability.clone().filter(|_| probe));
+        }
+        let profile = profile_job(cfg, job, method);
+        let vulnerability = probe.then(|| measure_llc_vulnerability(cfg, predictor, job, &profile));
+        let blank = JobProfile {
+            name: String::new(),
+            ..profile.clone()
+        };
+        self.lock().insert(key, spec, blank, vulnerability.clone());
+        (profile, vulnerability)
+    }
+}
+
+#[cfg(test)]
+impl ClassCache {
+    /// Lookups that measured, so far.
+    pub(crate) fn misses(&self) -> usize {
+        self.lock().misses
+    }
+
+    /// Classes held.
+    pub(crate) fn len(&self) -> usize {
+        self.lock().classes.len()
+    }
+}
+
+impl Classes {
+    /// The class under `key` if its spec is `spec` and, when `probe` is
+    /// set, it holds a vulnerability; stamped as used.
+    fn get(&mut self, key: ClassKey, spec: &JobSpec, probe: bool) -> Option<&Class> {
+        self.clock += 1;
+        let clock = self.clock;
+        match self.classes.get_mut(&key) {
+            Some(class) if class.spec == *spec && (!probe || class.vulnerability.is_some()) => {
+                class.last_used = clock;
+                Some(class)
+            }
+            _ => {
+                #[cfg(test)]
+                {
+                    self.misses += 1;
+                }
+                None
+            }
+        }
+    }
+
+    /// Store a class, dropping the least recently used one when full.
+    fn insert(
+        &mut self,
+        key: ClassKey,
+        spec: JobSpec,
+        profile: JobProfile,
+        vulnerability: Option<LlcVulnerability>,
+    ) {
+        if self.classes.len() >= CLASS_CAPACITY && !self.classes.contains_key(&key) {
+            let oldest = self
+                .classes
+                .iter()
+                .min_by_key(|(_, c)| c.last_used)
+                .map(|(k, _)| *k)
+                .expect("a full cache has a class");
+            self.classes.remove(&oldest);
+        }
+        self.clock += 1;
+        let class = Class {
+            spec,
+            profile,
+            vulnerability,
+            last_used: self.clock,
+        };
+        self.classes.insert(key, class);
+    }
+}
+
+/// FNV-1a over every field of `spec` but its name, each `f64` by its
+/// bits: the fields the simulator reads. The destructuring names every
+/// field, so adding one to [`JobSpec`] or [`PhaseWork`] fails to compile
+/// here until the digest covers it.
+fn spec_digest(spec: &JobSpec) -> u64 {
+    let JobSpec {
+        name: _,
+        phases,
+        host_setup_s,
+        jitter_amp,
+        jitter_period_s,
+        jitter_phase,
+    } = spec;
+    let mut words = vec![phases.len() as u64];
+    for phase in phases {
+        let PhaseWork {
+            flops,
+            bytes,
+            cpu_eff,
+            gpu_eff,
+            llc_footprint_mib,
+            llc_sensitivity,
+            llc_pressure,
+            llc_miss_bw_gbps,
+            overlap,
+        } = phase;
+        words.extend(
+            [
+                flops,
+                bytes,
+                cpu_eff,
+                gpu_eff,
+                llc_footprint_mib,
+                llc_sensitivity,
+                llc_pressure,
+                llc_miss_bw_gbps,
+                overlap,
+            ]
+            .map(|x| x.to_bits()),
+        );
+    }
+    words.extend([host_setup_s, jitter_amp, jitter_period_s, jitter_phase].map(|x| x.to_bits()));
+    let mut h: u64 = 0xcbf29ce484222325;
+    for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -81,6 +331,69 @@ mod tests {
         c.grid_points = 3;
         c.micro_duration_s = 1.0;
         c
+    }
+
+    #[test]
+    fn class_cache_is_bounded_and_keeps_recurring_programs() {
+        let cfg = MachineConfig::ivy_bridge();
+        let predictor = StagedPredictor::new(&cfg, characterize(&cfg, &fast_cfg(&cfg)));
+        let cache = ClassCache::default();
+        // 8 programs recur in every batch, 8 rescaled ones are new in each:
+        // 40 batches bring 328 classes, more than the capacity holds.
+        for seed in 0..40 {
+            let before = cache.misses();
+            for job in &kernels::rodinia16(&cfg, seed).jobs {
+                cache.profile(&cfg, &predictor, 1, ProfileMethod::Analytic, false, job);
+            }
+            let new = if seed == 0 { 16 } else { 8 };
+            assert_eq!(cache.misses() - before, new, "batch {seed}");
+            assert!(cache.len() <= CLASS_CAPACITY, "{} classes", cache.len());
+        }
+        assert_eq!(cache.len(), CLASS_CAPACITY);
+    }
+
+    #[test]
+    fn a_digest_collision_is_a_miss() {
+        let cfg = MachineConfig::ivy_bridge();
+        let a = kernels::by_name(&cfg, "lud").expect("a Rodinia program");
+        let b = kernels::with_input_scale(&a, 0.5);
+        let key = ClassKey {
+            spec: spec_digest(&a),
+            stages: 1,
+            method: ProfileMethod::Analytic as u8,
+        };
+        let mut classes = Classes::default();
+        let profile = profile_job(&cfg, &a, ProfileMethod::Analytic);
+        classes.insert(key, a.clone(), profile, None);
+        assert!(
+            classes.get(key, &b, false).is_none(),
+            "another spec under the same key"
+        );
+        assert_eq!(classes.misses, 1);
+        assert!(classes.get(key, &a, false).is_some());
+        assert_eq!(classes.misses, 1);
+        assert!(
+            classes.get(key, &a, true).is_none(),
+            "a probed lookup needs a stored vulnerability"
+        );
+        assert_eq!(classes.misses, 2);
+    }
+
+    #[test]
+    fn the_digest_leaves_out_the_name_only() {
+        let cfg = MachineConfig::ivy_bridge();
+        let a = kernels::by_name(&cfg, "srad").expect("a Rodinia program");
+        let renamed = JobSpec {
+            name: "another".into(),
+            ..a.clone()
+        };
+        assert_eq!(spec_digest(&a), spec_digest(&renamed));
+        let mut b = a.clone();
+        b.jitter_phase += 1e-9;
+        assert_ne!(spec_digest(&a), spec_digest(&b));
+        let mut c = a.clone();
+        c.phases[0].overlap = f64::from_bits(c.phases[0].overlap.to_bits() + 1);
+        assert_ne!(spec_digest(&a), spec_digest(&c));
     }
 
     #[test]

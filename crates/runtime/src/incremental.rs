@@ -115,8 +115,8 @@ impl CoRunModel for IncrementalModel {
     }
 
     fn degradation(&self, i: JobId, device: Device, f_own: usize, j: JobId, g_other: usize) -> f64 {
-        // Mirror of the closure in `build_table_model`: same predictor,
-        // same LLC correction, evaluated lazily instead of pre-tabulated.
+        // What `build_table_model` tabulates: same predictor, same LLC
+        // correction, evaluated lazily per entry.
         let setting = match device {
             Device::Cpu => FreqSetting::new(f_own, g_other),
             Device::Gpu => FreqSetting::new(g_other, f_own),
@@ -149,6 +149,7 @@ impl CoRunModel for IncrementalModel {
 mod tests {
     use super::*;
     use crate::modelbuild::build_table_model;
+    use apu_sim::PerDevice;
     use perf_model::{characterize, probe_batch, profile_batch, CharacterizeConfig};
 
     fn setup() -> (MachineConfig, StagedPredictor, Vec<JobSpec>) {
@@ -249,6 +250,79 @@ mod tests {
                     inc.degradation(i, Device::Gpu, kg, j, kc),
                     dense.degradation(i, Device::Gpu, kg, j, kc)
                 );
+            }
+        }
+    }
+
+    /// The hoisted dense build against the per-entry path, on every entry
+    /// of a `rodinia16` batch: each program at two scales, one repeated
+    /// under another name, and one with its traffic removed, so that the
+    /// demands fall below, inside and beyond every surface axis.
+    #[test]
+    fn hoisted_table_matches_per_entry_on_rodinia16() {
+        let (cfg, predictor, _) = setup();
+        let mut jobs = kernels::rodinia16(&cfg, 3).jobs;
+        let mut again = jobs[0].clone();
+        again.name.push_str("-again");
+        let mut no_traffic = jobs[2].clone();
+        no_traffic.name.push_str("-no-traffic");
+        for phase in &mut no_traffic.phases {
+            phase.bytes = 0.0;
+        }
+        let mut streaming = jobs[4].clone();
+        streaming.name.push_str("-streaming");
+        for phase in &mut streaming.phases {
+            phase.flops = 0.0;
+        }
+        jobs.extend([again, no_traffic, streaming]);
+        let profiles = profile_batch(&cfg, &jobs, ProfileMethod::Analytic);
+        let vulns = probe_batch(&cfg, &predictor, &jobs, &profiles);
+        let dense = build_table_model(&cfg, &profiles, &predictor, Some(&vulns));
+
+        let levels = PerDevice::new(cfg.freqs.cpu.len(), cfg.freqs.gpu.len());
+        // Every surface axis gets demands at its low end and inside it. A
+        // solo demand never exceeds the device's peak bandwidth, where the
+        // top stage's axes end, so the high end is reached on the lower
+        // stages' axes, on both sides.
+        let mut beyond = PerDevice::new(false, false);
+        for stage in predictor.stages() {
+            for grid in [&stage.surface.deg.cpu, &stage.surface.deg.gpu] {
+                for (side, axis) in [(Device::Cpu, &grid.cpu_axis), (Device::Gpu, &grid.gpu_axis)] {
+                    let (lo, hi) = (axis[0], axis[axis.len() - 1]);
+                    let demands: Vec<f64> = (profiles.iter())
+                        .flat_map(|p| (0..*levels.get(side)).map(move |l| p.demand(side, l)))
+                        .collect();
+                    assert!(demands.iter().any(|&d| d <= lo), "none at or below {lo}");
+                    assert!(demands.iter().any(|&d| d > lo && d < hi), "none inside");
+                    *beyond.get_mut(side) |= demands.iter().any(|&d| d >= hi);
+                }
+            }
+        }
+        assert!(
+            beyond.cpu && beyond.gpu,
+            "no demand beyond an axis: {beyond:?}"
+        );
+
+        let mut inc = IncrementalModel::new(cfg.clone(), predictor, ProfileMethod::Analytic, true);
+        for job in &jobs {
+            inc.push_job(job);
+        }
+        for i in 0..jobs.len() {
+            for j in 0..jobs.len() {
+                for f in 0..levels.cpu {
+                    for g in 0..levels.gpu {
+                        assert_eq!(
+                            inc.degradation(i, Device::Cpu, f, j, g).to_bits(),
+                            dense.degradation(i, Device::Cpu, f, j, g).to_bits(),
+                            "cpu deg mismatch at ({i},{f},{j},{g})"
+                        );
+                        assert_eq!(
+                            inc.degradation(i, Device::Gpu, g, j, f).to_bits(),
+                            dense.degradation(i, Device::Gpu, g, j, f).to_bits(),
+                            "gpu deg mismatch at ({i},{g},{j},{f})"
+                        );
+                    }
+                }
             }
         }
     }

@@ -15,7 +15,8 @@
 //! * [`online_exec`] — ground-truth execution of the online policy;
 //! * [`report`] — tables, Gantt timelines, run summaries;
 //! * [`sweep`] — cap x method parameter sweeps;
-//! * [`cache`] — fingerprint-keyed on-disk characterization caching;
+//! * [`cache`] — fingerprint-keyed on-disk characterization caching, and
+//!   the in-memory class cache that profiles each distinct program once;
 //! * [`incremental`] — a growable [`corun_core::CoRunModel`] for resident
 //!   services that admit jobs one at a time.
 

@@ -3,8 +3,16 @@
 //! predictor. This is what makes the scheduling algorithms cheap at run
 //! time: all `O(N^2 K^2)` degradations come from interpolation, not from
 //! profiling runs.
+//!
+//! The profiles come from the offline stage, which profiles and probes
+//! each distinct program once per config (see [`crate::cache`]). The build
+//! locates every clock and demand on the stage and surface axes once per
+//! batch ([`StagedPredictor::prepare_batch`]) and computes the LLC
+//! correction once per pair and co-runner level, so each table entry pays
+//! only the four-stage blend that
+//! [`StagedPredictor::degradation_at`] also uses.
 
-use apu_sim::{Device, FreqSetting, MachineConfig};
+use apu_sim::{Device, MachineConfig, PerDevice};
 use corun_core::TableModel;
 use perf_model::{idle_package_power, JobProfile, LlcVulnerability, StagedPredictor};
 
@@ -23,9 +31,29 @@ pub fn build_table_model(
     if let Some(v) = vulnerabilities {
         assert_eq!(v.len(), profiles.len());
     }
+    let n = profiles.len();
     let names = profiles.iter().map(|p| p.name.clone()).collect();
     let k_cpu = cfg.freqs.cpu.len();
     let k_gpu = cfg.freqs.gpu.len();
+    let levels = PerDevice::new(k_cpu, k_gpu);
+    let batch = predictor.prepare_batch(cfg, profiles);
+    // LLC correction of `i` on `device` against `j` at the other device's
+    // level, laid out `[(i * n + j) * k_other + level]`: it depends on the
+    // co-runner's demand only, not on `i`'s own level.
+    let extra = PerDevice::from_fn(|device| {
+        let other = device.other();
+        let k_other = *levels.get(other);
+        let mut out = Vec::with_capacity(n * n * k_other);
+        for i in 0..n {
+            for p in profiles {
+                out.extend((0..k_other).map(|g| {
+                    vulnerabilities
+                        .map_or(0.0, |v| v[i].extra_degradation(device, p.demand(other, g)))
+                }));
+            }
+        }
+        out
+    });
     TableModel::build(
         names,
         k_cpu,
@@ -35,17 +63,11 @@ pub fn build_table_model(
         |i, device, f_own, j, g_other| {
             // Convention: `i` on `device` at `f_own`; `j` on the other
             // device at `g_other`.
-            let (setting, own_dev) = match device {
-                Device::Cpu => (FreqSetting::new(f_own, g_other), Device::Cpu),
-                Device::Gpu => (FreqSetting::new(g_other, f_own), Device::Gpu),
+            let base = match device {
+                Device::Cpu => batch.degradation(device, i, f_own, j, g_other),
+                Device::Gpu => batch.degradation(device, j, g_other, i, f_own),
             };
-            let cpu_ghz = cfg.freqs.ghz(Device::Cpu, setting);
-            let gpu_ghz = cfg.freqs.ghz(Device::Gpu, setting);
-            let own = profiles[i].demand(own_dev, f_own);
-            let co = profiles[j].demand(own_dev.other(), g_other);
-            let base = predictor.degradation_at(own_dev, own, co, cpu_ghz, gpu_ghz);
-            let extra = vulnerabilities.map_or(0.0, |v| v[i].extra_degradation(own_dev, co));
-            base + extra
+            base + extra.get(device)[(i * n + j) * levels.get(device.other()) + g_other]
         },
         |i, device, level| profiles[i].power(device, level),
     )

@@ -1,11 +1,19 @@
 //! The integrated co-scheduling runtime — the paper's prototype.
 //!
 //! `CoScheduleRuntime::new` performs the offline stage (standalone
-//! profiling, micro-benchmark characterization, model materialization);
-//! the scheduling methods then produce schedules in microseconds; the
-//! execute methods run them on the simulator for ground-truth makespans
-//! and power traces.
+//! profiling, micro-benchmark characterization, LLC probing, model
+//! materialization); the scheduling methods then produce schedules in
+//! microseconds; the execute methods run them on the simulator for
+//! ground-truth makespans and power traces.
+//!
+//! The offline stage profiles and probes each distinct *program* once per
+//! config, as the paper does (Section V): every clone of a
+//! [`RuntimeConfig`] shares one in-memory class cache of profiles, LLC
+//! vulnerabilities and the loaded characterization ([`crate::cache`]), so
+//! a batch measures only the programs no earlier batch brought. A job's
+//! name is not part of its program; its profile is relabelled with it.
 
+use crate::cache::ClassCache;
 use crate::executor::{execute_default, execute_schedule, LevelPolicy};
 use crate::modelbuild::build_table_model;
 use apu_sim::{
@@ -16,8 +24,7 @@ use corun_core::{
     HcsConfig, HcsOutcome, RefineConfig, Schedule, TableModel,
 };
 use perf_model::{
-    characterize, probe_batch, profile_batch, CharacterizeConfig, JobProfile, LlcVulnerability,
-    ProfileMethod, StagedPredictor,
+    CharacterizeConfig, JobProfile, LlcVulnerability, ProfileMethod, StagedPredictor,
 };
 
 /// Configuration of the runtime's offline stage and policies.
@@ -41,9 +48,12 @@ pub struct RuntimeConfig {
     /// the scheduler's model (our extension; the paper's model is
     /// bandwidth-only and blind to dwt2d-style LLC thrashing).
     pub llc_probe: bool,
-    /// If set, cache the machine characterization under this directory
-    /// (keyed by a machine+parameters fingerprint).
+    /// If set, also keep the machine characterization on disk under this
+    /// directory (keyed by a machine+parameters fingerprint). Profiles and
+    /// probes are cached in memory only, whatever this says.
     pub cache_dir: Option<std::path::PathBuf>,
+    /// The class cache every clone of this config shares.
+    classes: ClassCache,
 }
 
 impl RuntimeConfig {
@@ -60,6 +70,7 @@ impl RuntimeConfig {
             refine_seed: 0x5eed,
             llc_probe: true,
             cache_dir: None,
+            classes: ClassCache::default(),
         }
     }
 
@@ -88,19 +99,33 @@ pub struct CoScheduleRuntime {
 }
 
 impl CoScheduleRuntime {
-    /// Run the offline stage and assemble the runtime.
+    /// Run the offline stage and assemble the runtime. Stages, profiles
+    /// and probes already in the config's class cache are reused; only
+    /// the batch's new programs are profiled and probed.
     pub fn new(machine: MachineConfig, jobs: Vec<JobSpec>, config: RuntimeConfig) -> Self {
-        let profiles = profile_batch(&machine, &jobs, config.profile_method);
-        let stages = match &config.cache_dir {
-            Some(dir) => {
-                crate::cache::characterize_cached(&machine, &config.characterization, dir).0
-            }
-            None => characterize(&machine, &config.characterization),
-        };
+        let classes = &config.classes;
+        let (stages_fp, stages) = classes.stages(
+            &machine,
+            &config.characterization,
+            config.cache_dir.as_deref(),
+        );
         let predictor = StagedPredictor::new(&machine, stages);
+        let (profiles, vulnerabilities): (Vec<_>, Vec<_>) = jobs
+            .iter()
+            .map(|job| {
+                classes.profile(
+                    &machine,
+                    &predictor,
+                    stages_fp,
+                    config.profile_method,
+                    config.llc_probe,
+                    job,
+                )
+            })
+            .unzip();
         let vulnerabilities = config
             .llc_probe
-            .then(|| probe_batch(&machine, &predictor, &jobs, &profiles));
+            .then(|| vulnerabilities.into_iter().flatten().collect());
         let model = build_table_model(&machine, &profiles, &predictor, vulnerabilities.as_deref());
         CoScheduleRuntime {
             machine,
@@ -320,6 +345,7 @@ impl CoScheduleRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use apu_sim::Device;
     use corun_core::{evaluate, CoRunModel};
 
     fn small_runtime() -> CoScheduleRuntime {
@@ -330,6 +356,120 @@ mod tests {
             .collect();
         let cfg = RuntimeConfig::fast(&machine);
         CoScheduleRuntime::new(machine, jobs, cfg)
+    }
+
+    /// What a batch yields for its user: the HCS+ schedule, the lower
+    /// bound and the executed makespan, the last two as bits.
+    fn outcome(rt: &CoScheduleRuntime) -> (Schedule, u64, u64) {
+        let schedule = rt.schedule_hcs_plus();
+        let bound = rt.lower_bound().t_low_s.to_bits();
+        let makespan = rt.execute_planned(&schedule).makespan_s.to_bits();
+        (schedule, bound, makespan)
+    }
+
+    /// `rodinia16` seeds 1-10 through one shared config and through a
+    /// fresh config per batch must agree bit for bit, and the shared
+    /// config must measure the 8 unscaled programs in batch 0 only.
+    fn shared_cache_matches_fresh_configs(config: fn(&MachineConfig) -> RuntimeConfig) {
+        let machine = MachineConfig::ivy_bridge();
+        let shared = config(&machine);
+        for seed in 1..=10 {
+            let jobs = kernels::rodinia16(&machine, seed).jobs;
+            let before = shared.classes.misses();
+            let cached = CoScheduleRuntime::new(machine.clone(), jobs.clone(), shared.clone());
+            // The rescaled half of a batch is new in every batch.
+            let new = if seed == 1 { 16 } else { 8 };
+            assert_eq!(shared.classes.misses() - before, new, "batch {seed}");
+            let fresh = CoScheduleRuntime::new(machine.clone(), jobs, config(&machine));
+            assert_eq!(outcome(&cached), outcome(&fresh), "batch {seed}");
+        }
+    }
+
+    #[test]
+    fn a_shared_class_cache_changes_no_outcome() {
+        shared_cache_matches_fresh_configs(RuntimeConfig::fast);
+    }
+
+    /// The paper's configuration (measured profiles, LLC probe, 3x3
+    /// stages): too slow for a debug build, so ci.sh runs it in release.
+    #[test]
+    #[ignore = "paper configuration; ci.sh runs it with --release"]
+    fn a_shared_class_cache_changes_no_outcome_at_paper_settings() {
+        shared_cache_matches_fresh_configs(RuntimeConfig::paper);
+    }
+
+    #[test]
+    fn a_renamed_program_shares_one_class_and_keeps_its_name() {
+        let machine = MachineConfig::ivy_bridge();
+        let lud = kernels::with_input_scale(&kernels::by_name(&machine, "lud").unwrap(), 0.12);
+        let copy = JobSpec {
+            name: "lud-copy".into(),
+            ..lud.clone()
+        };
+        let cfg = RuntimeConfig::fast(&machine);
+        let rt = CoScheduleRuntime::new(machine, vec![lud.clone(), copy], cfg.clone());
+        assert_eq!(cfg.classes.misses(), 1, "one class, measured once");
+        let bits = |p: &JobProfile| -> Vec<u64> {
+            Device::ALL
+                .iter()
+                .map(|&d| p.per_device.get(d))
+                .flat_map(|d| d.time_s.iter().chain(&d.demand_gbps).chain(&d.power_w))
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        let [a, b] = rt.profiles() else {
+            panic!("two profiles")
+        };
+        assert_eq!(bits(a), bits(b));
+        let [va, vb] = rt.vulnerabilities().expect("the probe is on") else {
+            panic!("two vulnerabilities")
+        };
+        let knots = |v: &LlcVulnerability| -> Vec<(u64, u64)> {
+            (v.curve.cpu.iter().chain(&v.curve.gpu))
+                .map(|(d, e)| (d.to_bits(), e.to_bits()))
+                .collect()
+        };
+        assert_eq!(knots(va), knots(vb));
+        assert_eq!(
+            (a.name.as_str(), b.name.as_str()),
+            (lud.name.as_str(), "lud-copy")
+        );
+        assert_eq!(
+            (rt.model().name(0), rt.model().name(1)),
+            (lud.name.as_str(), "lud-copy")
+        );
+    }
+
+    #[test]
+    fn a_clone_with_another_method_machine_or_characterization_misses() {
+        let machine = MachineConfig::ivy_bridge();
+        let jobs = vec![kernels::with_input_scale(
+            &kernels::by_name(&machine, "srad").unwrap(),
+            0.12,
+        )];
+        let base = RuntimeConfig::fast(&machine);
+        // Misses so far, and the demand-axis length of the stages used.
+        let run = |m: &MachineConfig, c: &RuntimeConfig| {
+            let rt = CoScheduleRuntime::new(m.clone(), jobs.clone(), c.clone());
+            let grid_points = rt.predictor().stages()[0].surface.deg.cpu.cpu_axis.len();
+            (base.classes.misses(), grid_points)
+        };
+        assert_eq!(run(&machine, &base), (1, 4));
+        assert_eq!(run(&machine, &base), (1, 4), "the same config hits");
+        let mut measured = base.clone();
+        measured.profile_method = ProfileMethod::Measured;
+        assert_eq!(run(&machine, &measured), (2, 4), "another profile method");
+        let mut coarser = base.clone();
+        coarser.characterization.grid_points = 3;
+        assert_eq!(run(&machine, &coarser), (3, 3), "another characterization");
+        let mut other = machine.clone();
+        other.power_sample_s *= 2.0;
+        assert_eq!(run(&other, &base), (4, 4), "another machine");
+        assert_eq!(
+            run(&machine, &base),
+            (4, 4),
+            "the first class is still held"
+        );
     }
 
     #[test]
