@@ -146,6 +146,21 @@ echo "$METRICS" | grep -q '"rejected":8' || {
     exit 1
 }
 
+# Job classes: the model holds one class per distinct (program, scale)
+# pair admitted. rodinia_small.spec has four; the bounced burst never
+# reached the model, and submitting the same four again adds none.
+timeout 120 $CORUN submit --addr "$ADDR" \
+    --spec examples/specs/rodinia_small.spec --wait --timeout 90 >/dev/null
+METRICS=$(timeout 30 $CORUN status --addr "$ADDR")
+echo "$METRICS" | grep -q '"completed":8' || {
+    echo "FAIL: metrics completed != 8 after the resubmit: $METRICS" >&2
+    exit 1
+}
+echo "$METRICS" | grep -q '"classes":4,' || {
+    echo "FAIL: metrics classes != 4 distinct (program, scale) pairs: $METRICS" >&2
+    exit 1
+}
+
 # Clean shutdown: the daemon must ack and exit on its own.
 timeout 30 $CORUN shutdown --addr "$ADDR"
 for _ in $(seq 1 150); do

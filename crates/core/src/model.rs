@@ -32,6 +32,15 @@ pub trait CoRunModel {
     /// Job name (diagnostics only).
     fn name(&self, i: JobId) -> &str;
 
+    /// The class of job `i`: jobs of one class are the same program, so
+    /// every method here but [`CoRunModel::name`] answers the same for
+    /// any of them, in either role of [`CoRunModel::degradation`].
+    /// Classes are numbered densely in order of first appearance. The
+    /// default puts each job in a class of its own.
+    fn class(&self, i: JobId) -> usize {
+        i
+    }
+
     /// Number of frequency levels on `device`.
     fn levels(&self, device: Device) -> usize;
 

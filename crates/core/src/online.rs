@@ -93,12 +93,20 @@ fn hash_unit(a: u64, b: u64) -> f64 {
 }
 
 /// The online dispatch policy.
+///
+/// Preferences are held per job *class* ([`CoRunModel::class`]): jobs of
+/// one class share a standalone profile, so they share a preference, and
+/// [`OnlinePolicy::pick`] evaluates one job per class.
 #[derive(Debug, Clone)]
 pub struct OnlinePolicy {
     cfg: HcsConfig,
+    /// Preference per class, indexed by class id.
     preference: Vec<Preference>,
+    /// The first admitted job of each class: whom `set_cap_w`
+    /// re-categorizes for the whole class.
+    representative: Vec<JobId>,
     retry: RetryPolicy,
-    /// Retries consumed per admitted job (parallel to `preference`).
+    /// Retries consumed per admitted job.
     retries: Vec<u32>,
 }
 
@@ -112,19 +120,14 @@ pub struct OnlinePick {
 }
 
 impl OnlinePolicy {
-    /// Build the policy: preferences are precomputed per job (they depend
-    /// only on standalone profiles).
+    /// Build the policy: preferences are precomputed per class (they
+    /// depend only on standalone profiles).
     pub fn new(model: &dyn CoRunModel, cfg: HcsConfig) -> Self {
-        let preference: Vec<Preference> = (0..model.len())
-            .map(|i| categorize(model, &cfg, i))
-            .collect();
-        let retries = vec![0; preference.len()];
-        OnlinePolicy {
-            cfg,
-            preference,
-            retry: RetryPolicy::default(),
-            retries,
+        let mut policy = OnlinePolicy::empty(cfg);
+        for job in 0..model.len() {
+            policy.admit_job(model, job);
         }
+        policy
     }
 
     /// An empty policy that knows about no jobs yet; register jobs as
@@ -135,32 +138,44 @@ impl OnlinePolicy {
         OnlinePolicy {
             cfg,
             preference: Vec::new(),
+            representative: Vec::new(),
             retry: RetryPolicy::default(),
             retries: Vec::new(),
         }
     }
 
     /// Incrementally register job `job` (which must be the next unseen
-    /// index, or an already-admitted one — preferences are append-only and
-    /// dense). Categorization depends only on the job's own standalone
-    /// profile, so admitting jobs one at a time yields exactly the policy
-    /// [`OnlinePolicy::new`] would have built from scratch.
+    /// index, or an already-admitted one — jobs and classes are
+    /// append-only and dense). Only a job of a class not seen before is
+    /// categorized. Categorization depends only on the job's own
+    /// standalone profile, so admitting jobs one at a time yields exactly
+    /// the policy [`OnlinePolicy::new`] would have built from scratch.
     ///
     /// # Panics
     ///
-    /// If `job` would leave a gap (`job > self.job_count()`) or is not
-    /// covered by `model`.
+    /// If `job` would leave a gap (`job > self.job_count()`), its class
+    /// would (`> self.preferences().len()`), or it is not covered by `model`.
     pub fn admit_job(&mut self, model: &dyn CoRunModel, job: JobId) {
         assert!(
-            job <= self.preference.len(),
+            job <= self.retries.len(),
             "admit_job({job}) would leave a gap: only {} jobs admitted",
-            self.preference.len()
+            self.retries.len()
         );
         assert!(job < model.len(), "job {job} not in the model");
-        if job == self.preference.len() {
-            self.preference.push(categorize(model, &self.cfg, job));
-            self.retries.push(0);
+        if job < self.retries.len() {
+            return;
         }
+        let class = model.class(job);
+        assert!(
+            class <= self.preference.len(),
+            "job {job} of class {class} would leave a class gap: only {} classes admitted",
+            self.preference.len()
+        );
+        if class == self.preference.len() {
+            self.preference.push(categorize(model, &self.cfg, job));
+            self.representative.push(job);
+        }
+        self.retries.push(0);
     }
 
     /// The power cap this policy currently schedules under, watts.
@@ -171,7 +186,7 @@ impl OnlinePolicy {
     /// Re-cap the policy (fleet budget rebalancing hands shards new caps
     /// while they run). Preferences depend on the cap through the
     /// cap-feasible frequency grid, so they are recomputed for every
-    /// admitted job — exactly what [`OnlinePolicy::new`] would have
+    /// admitted class — exactly what [`OnlinePolicy::new`] would have
     /// produced had it been built with the new cap.
     ///
     /// # Panics
@@ -179,13 +194,13 @@ impl OnlinePolicy {
     /// If `model` does not cover every admitted job.
     pub fn set_cap_w(&mut self, model: &dyn CoRunModel, cap_w: f64) {
         assert!(
-            self.preference.len() <= model.len(),
+            self.retries.len() <= model.len(),
             "model covers {} jobs but {} are admitted",
             model.len(),
-            self.preference.len()
+            self.retries.len()
         );
         self.cfg.cap_w = cap_w;
-        for (job, slot) in self.preference.iter_mut().enumerate() {
+        for (slot, &job) in self.preference.iter_mut().zip(&self.representative) {
             *slot = categorize(model, &self.cfg, job);
         }
     }
@@ -243,12 +258,12 @@ impl OnlinePolicy {
         in_flight.iter().map(|&j| (j, self.requeue(j))).collect()
     }
 
-    /// Number of jobs this policy has preferences for.
+    /// Number of jobs admitted.
     pub fn job_count(&self) -> usize {
-        self.preference.len()
+        self.retries.len()
     }
 
-    /// The preference categorization per admitted job.
+    /// The preference categorization per admitted class.
     pub fn preferences(&self) -> &[Preference] {
         &self.preference
     }
@@ -259,7 +274,8 @@ impl OnlinePolicy {
     }
 
     /// Decide what to run on `device` given the ready set and the current
-    /// co-runner. `None` means "leave the device idle for now".
+    /// co-runner. `None` means "leave the device idle for now". Model
+    /// evaluations grow with the classes ready, not with the jobs.
     pub fn pick(
         &self,
         model: &dyn CoRunModel,
@@ -276,29 +292,47 @@ impl OnlinePolicy {
             Device::Gpu => Preference::Cpu,
         };
         // Preference order: own-preferred, non-preferred, other-preferred.
-        for class in [own_pref, Preference::Non, other_pref] {
-            let candidates: Vec<JobId> = ready
-                .iter()
-                .copied()
-                .filter(|&j| self.preference[j] == class)
-                .collect();
-            if candidates.is_empty() {
-                continue;
+        let order = [own_pref, Preference::Non, other_pref];
+        // Per preference, in ready order, the first ready job of each
+        // class. A later job of a class ties with that first one on every
+        // evaluation, and ties go to the earliest job, so only the first
+        // ones are evaluated.
+        let mut firsts: [Vec<JobId>; 3] = Default::default();
+        let mut seen = vec![false; self.preference.len()];
+        for &j in ready {
+            let class = model.class(j);
+            if !std::mem::replace(&mut seen[class], true) {
+                let slot = order
+                    .iter()
+                    .position(|&p| p == self.preference[class])
+                    .expect("every preference is in the order");
+                firsts[slot].push(j);
             }
-            let pick = self.pick_from(model, &candidates, device, co);
-            let Some(pick) = pick else { continue };
+        }
+        for (slot, pref) in order.into_iter().enumerate() {
+            let Some(pick) = self.pick_from(model, &firsts[slot], device, co) else {
+                continue;
+            };
             // Steal-profitability guard for other-preferred jobs: only take
             // the job if running it here beats waiting for its preferred
             // device behind the other-preferred backlog.
-            if class == other_pref {
+            if pref == other_pref {
                 let other = device.other();
                 let ko = model.levels(other) - 1;
                 let t_here = model.standalone(pick.job, device, pick.level);
                 let t_there = model.standalone(pick.job, other, ko);
-                let backlog: f64 = candidates
+                // Each class's time there, evaluated once, summed over
+                // every other-preferred ready job in ready order.
+                let mut class_there = vec![0.0; self.preference.len()];
+                for &y in &firsts[slot] {
+                    class_there[model.class(y)] = model.standalone(y, other, ko);
+                }
+                let backlog: f64 = ready
                     .iter()
                     .filter(|&&y| y != pick.job)
-                    .map(|&y| model.standalone(y, other, ko))
+                    .map(|&y| model.class(y))
+                    .filter(|&c| self.preference[c] == pref)
+                    .map(|c| class_there[c])
                     .sum();
                 if t_here >= backlog + t_there {
                     return None;

@@ -697,8 +697,9 @@ impl<T: RawTransport> RpcShard<T> {
                 let jitter = 1.0 + 0.5 * self.rng.next_unit();
                 let delay = (exp * jitter).min(self.cfg.backoff_max_s).min(remaining);
                 if delay > 0.0 {
-                    // Backoff pacing at the I/O edge: real sleeps against
-                    // a wall clock, no-ops under a ManualClock in tests.
+                    // Backoff pacing at the I/O edge: a real sleep whatever
+                    // the clock. Under a ManualClock it still sleeps real
+                    // time and the manual clock does not advance.
                     std::thread::sleep(Duration::from_secs_f64(delay.min(1.0)));
                 }
             }

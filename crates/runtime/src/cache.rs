@@ -270,7 +270,7 @@ impl Classes {
 /// bits: the fields the simulator reads. The destructuring names every
 /// field, so adding one to [`JobSpec`] or [`PhaseWork`] fails to compile
 /// here until the digest covers it.
-fn spec_digest(spec: &JobSpec) -> u64 {
+pub(crate) fn spec_digest(spec: &JobSpec) -> u64 {
     let JobSpec {
         name: _,
         phases,

@@ -6,18 +6,28 @@
 //! shape for offline scheduling but useless for a daemon whose job
 //! universe grows with every submission: appending to the dense layout
 //! means an `O(N^2 K^2)` rebuild per arrival. [`IncrementalModel`] keeps
-//! the per-job standalone ladders dense (they are `O(K)` per job) and
+//! the standalone ladders dense (they are `O(K)` per program) and
 //! computes pair degradations on demand from the same
-//! [`StagedPredictor`] interpolation `build_table_model` bakes in, so
-//! admitting job `N+1` costs one profiling pass and nothing else — and
+//! [`StagedPredictor`] interpolation `build_table_model` bakes in — and
 //! both models return bit-identical numbers for the same inputs.
+//!
+//! Jobs are interned into *classes* ([`CoRunModel::class`]): a class is
+//! one program, a job spec with its name left out, keyed by the digest
+//! the offline class cache uses. Profiling (and the LLC probe, when on)
+//! runs once per class, when its first job arrives, as the paper profiles
+//! each program once. A later job of a class costs a digest and a
+//! comparison, and keeps only its class and its own name. Unlike the
+//! offline cache, the class table never evicts: every admitted job always
+//! names a class.
 
+use crate::cache::spec_digest;
 use apu_sim::{Device, FreqSetting, JobSpec, MachineConfig};
 use corun_core::{CoRunModel, JobId};
 use perf_model::{
     idle_package_power, measure_llc_vulnerability, profile_job, JobProfile, LlcVulnerability,
     ProfileMethod, StagedPredictor,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A growable scheduler-facing co-run model (see module docs).
@@ -27,14 +37,35 @@ pub struct IncrementalModel {
     profile_method: ProfileMethod,
     llc_probe: bool,
     idle_power_w: f64,
-    jobs: Vec<Arc<JobSpec>>,
-    profiles: Vec<JobProfile>,
-    vulnerabilities: Vec<LlcVulnerability>,
+    /// Per job, indexed by [`JobId`].
+    jobs: Vec<Member>,
+    /// Per class, in order of first appearance.
+    classes: Vec<Class>,
+    /// [`spec_digest`] to the class first admitted under it.
+    index: HashMap<u64, usize>,
+}
+
+/// What a job holds of its own.
+struct Member {
+    class: usize,
+    name: String,
+}
+
+/// What every job of one program shares.
+struct Class {
+    /// The spec with its name blanked. A job joins the class only if its
+    /// spec, name aside, equals this one, so two programs whose digests
+    /// collide never share a class.
+    spec: JobSpec,
+    /// The standalone profile, name blanked.
+    profile: JobProfile,
+    /// The LLC vulnerability, when the probe is on.
+    vulnerability: Option<LlcVulnerability>,
 }
 
 impl IncrementalModel {
     /// New empty model over `machine` using `predictor` for pair
-    /// degradations. `llc_probe` enables the per-job LLC-vulnerability
+    /// degradations. `llc_probe` enables the per-class LLC-vulnerability
     /// probe on admission (more accurate, but each probe costs a handful
     /// of co-run simulations).
     pub fn new(
@@ -51,25 +82,45 @@ impl IncrementalModel {
             llc_probe,
             idle_power_w,
             jobs: Vec::new(),
-            profiles: Vec::new(),
-            vulnerabilities: Vec::new(),
+            classes: Vec::new(),
+            index: HashMap::new(),
         }
     }
 
-    /// Profile `job` (and probe it, if enabled) and append it to the
-    /// model. Returns its [`JobId`].
+    /// Append `job` to the model, profiling (and probing, if enabled) it
+    /// only when its class is new. Returns its [`JobId`].
     pub fn push_job(&mut self, job: &JobSpec) -> JobId {
-        let profile = profile_job(&self.machine, job, self.profile_method);
-        if self.llc_probe {
-            self.vulnerabilities.push(measure_llc_vulnerability(
-                &self.machine,
-                &self.predictor,
-                job,
-                &profile,
-            ));
-        }
-        self.jobs.push(Arc::new(job.clone()));
-        self.profiles.push(profile);
+        let digest = spec_digest(job);
+        let spec = JobSpec {
+            name: String::new(),
+            ..job.clone()
+        };
+        let class = match self.index.get(&digest).copied() {
+            Some(class) if self.classes[class].spec == spec => class,
+            indexed => {
+                let profile = profile_job(&self.machine, job, self.profile_method);
+                let vulnerability = self.llc_probe.then(|| {
+                    measure_llc_vulnerability(&self.machine, &self.predictor, job, &profile)
+                });
+                let class = self.classes.len();
+                if indexed.is_none() {
+                    self.index.insert(digest, class);
+                }
+                self.classes.push(Class {
+                    spec,
+                    profile: JobProfile {
+                        name: String::new(),
+                        ..profile
+                    },
+                    vulnerability,
+                });
+                class
+            }
+        };
+        self.jobs.push(Member {
+            class,
+            name: job.name.clone(),
+        });
         self.jobs.len() - 1
     }
 
@@ -78,29 +129,41 @@ impl IncrementalModel {
         &self.machine
     }
 
-    /// The job spec behind `i`.
-    pub fn job(&self, i: JobId) -> &Arc<JobSpec> {
-        &self.jobs[i]
+    /// The spec of job `i`, under its own name.
+    pub fn job(&self, i: JobId) -> Arc<JobSpec> {
+        let member = &self.jobs[i];
+        Arc::new(JobSpec {
+            name: member.name.clone(),
+            ..self.classes[member.class].spec.clone()
+        })
     }
 
-    /// All admitted job specs, indexed by [`JobId`].
-    pub fn jobs(&self) -> &[Arc<JobSpec>] {
-        &self.jobs
-    }
-
-    /// The standalone profile of job `i`.
+    /// The standalone profile of job `i`'s class; its name is blank.
     pub fn profile(&self, i: JobId) -> &JobProfile {
-        &self.profiles[i]
+        &self.class_of(i).profile
+    }
+
+    /// Number of distinct classes admitted.
+    pub fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
+    fn class_of(&self, i: JobId) -> &Class {
+        &self.classes[self.jobs[i].class]
     }
 }
 
 impl CoRunModel for IncrementalModel {
     fn len(&self) -> usize {
-        self.profiles.len()
+        self.jobs.len()
     }
 
     fn name(&self, i: JobId) -> &str {
-        &self.profiles[i].name
+        &self.jobs[i].name
+    }
+
+    fn class(&self, i: JobId) -> usize {
+        self.jobs[i].class
     }
 
     fn levels(&self, device: Device) -> usize {
@@ -111,7 +174,7 @@ impl CoRunModel for IncrementalModel {
     }
 
     fn standalone(&self, i: JobId, device: Device, f: usize) -> f64 {
-        self.profiles[i].time(device, f)
+        self.class_of(i).profile.time(device, f)
     }
 
     fn degradation(&self, i: JobId, device: Device, f_own: usize, j: JobId, g_other: usize) -> f64 {
@@ -123,21 +186,21 @@ impl CoRunModel for IncrementalModel {
         };
         let cpu_ghz = self.machine.freqs.ghz(Device::Cpu, setting);
         let gpu_ghz = self.machine.freqs.ghz(Device::Gpu, setting);
-        let own = self.profiles[i].demand(device, f_own);
-        let co = self.profiles[j].demand(device.other(), g_other);
+        let victim = self.class_of(i);
+        let own = victim.profile.demand(device, f_own);
+        let co = self.class_of(j).profile.demand(device.other(), g_other);
         let base = self
             .predictor
             .degradation_at(device, own, co, cpu_ghz, gpu_ghz);
-        let extra = if self.llc_probe {
-            self.vulnerabilities[i].extra_degradation(device, co)
-        } else {
-            0.0
-        };
+        let extra = victim
+            .vulnerability
+            .as_ref()
+            .map_or(0.0, |v| v.extra_degradation(device, co));
         base + extra
     }
 
     fn solo_power(&self, i: JobId, device: Device, f: usize) -> f64 {
-        self.profiles[i].power(device, f)
+        self.class_of(i).profile.power(device, f)
     }
 
     fn idle_power(&self) -> f64 {
@@ -150,7 +213,10 @@ mod tests {
     use super::*;
     use crate::modelbuild::build_table_model;
     use apu_sim::PerDevice;
+    use corun_core::{HcsConfig, OnlinePolicy};
     use perf_model::{characterize, probe_batch, profile_batch, CharacterizeConfig};
+    use std::cell::{Cell, RefCell};
+    use std::collections::BTreeSet;
 
     fn setup() -> (MachineConfig, StagedPredictor, Vec<JobSpec>) {
         let cfg = MachineConfig::ivy_bridge();
@@ -307,10 +373,17 @@ mod tests {
         for job in &jobs {
             inc.push_job(job);
         }
-        for i in 0..jobs.len() {
-            for j in 0..jobs.len() {
-                for f in 0..levels.cpu {
-                    for g in 0..levels.gpu {
+        assert_degradations_match(&inc, &dense);
+    }
+
+    /// Every degradation entry of `inc` against `dense`, bit for bit.
+    fn assert_degradations_match(inc: &IncrementalModel, dense: &dyn CoRunModel) {
+        assert_eq!(inc.len(), dense.len());
+        let (kc, kg) = (inc.levels(Device::Cpu), inc.levels(Device::Gpu));
+        for i in 0..inc.len() {
+            for j in 0..inc.len() {
+                for f in 0..kc {
+                    for g in 0..kg {
                         assert_eq!(
                             inc.degradation(i, Device::Cpu, f, j, g).to_bits(),
                             dense.degradation(i, Device::Cpu, f, j, g).to_bits(),
@@ -325,6 +398,191 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_renamed_spec_shares_its_class_and_keeps_its_name() {
+        let (cfg, predictor, jobs) = setup();
+        let a = jobs[0].clone();
+        let b = JobSpec {
+            name: format!("{}-again", a.name),
+            ..a.clone()
+        };
+        let mut inc = IncrementalModel::new(
+            cfg.clone(),
+            predictor.clone(),
+            ProfileMethod::Analytic,
+            true,
+        );
+        let (i, j) = (inc.push_job(&a), inc.push_job(&b));
+        assert_eq!(inc.class_count(), 1);
+        assert_eq!(inc.class(i), inc.class(j));
+        assert_eq!((inc.name(i), inc.name(j)), (&*a.name, &*b.name));
+        assert_eq!((&*inc.job(i), &*inc.job(j)), (&a, &b));
+
+        // Measured on its own, the renamed spec profiles and probes to
+        // the same bits as the class it joined.
+        let profiles = profile_batch(&cfg, &[a.clone(), b.clone()], ProfileMethod::Analytic);
+        let vulns = probe_batch(&cfg, &predictor, &[a, b], &profiles);
+        let blank = |p: &JobProfile| {
+            format!(
+                "{:?}",
+                JobProfile {
+                    name: String::new(),
+                    ..p.clone()
+                }
+            )
+        };
+        assert_eq!(blank(&profiles[0]), blank(&profiles[1]));
+        assert_eq!(blank(&profiles[1]), format!("{:?}", inc.profile(j)));
+        assert_eq!(format!("{:?}", vulns[0]), format!("{:?}", vulns[1]));
+        let dense = build_table_model(&cfg, &profiles, &predictor, Some(&vulns));
+        assert_degradations_match(&inc, &dense);
+        assert_eq!(inc.name(j), dense.name(j));
+    }
+
+    /// A `rodinia16` batch with half its jobs submitted twice under new
+    /// names: 24 jobs, 16 classes, and the same degradations as the
+    /// per-job model that profiles and probes every job.
+    #[test]
+    fn llc_probe_with_repeated_programs_matches_the_per_job_model() {
+        let (cfg, predictor, _) = setup();
+        let mut jobs = kernels::rodinia16(&cfg, 5).jobs;
+        let repeats: Vec<JobSpec> = (jobs.iter().step_by(2))
+            .map(|job| JobSpec {
+                name: format!("{}-again", job.name),
+                ..job.clone()
+            })
+            .collect();
+        jobs.extend(repeats);
+        let profiles = profile_batch(&cfg, &jobs, ProfileMethod::Analytic);
+        let vulns = probe_batch(&cfg, &predictor, &jobs, &profiles);
+        let dense = build_table_model(&cfg, &profiles, &predictor, Some(&vulns));
+
+        let mut inc = IncrementalModel::new(cfg, predictor, ProfileMethod::Analytic, true);
+        for job in &jobs {
+            inc.push_job(job);
+        }
+        assert_eq!(inc.class_count(), 16);
+        for (id, job) in jobs.iter().enumerate() {
+            assert_eq!(inc.name(id), job.name);
+            assert_eq!(inc.job(id).name, job.name);
+        }
+        assert_degradations_match(&inc, &dense);
+    }
+
+    /// Counts the evaluations a model answers and the jobs they name.
+    struct Counting<'a> {
+        inner: &'a dyn CoRunModel,
+        evaluations: Cell<usize>,
+        asked: RefCell<BTreeSet<JobId>>,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn CoRunModel) -> Self {
+            Counting {
+                inner,
+                evaluations: Cell::new(0),
+                asked: RefCell::new(BTreeSet::new()),
+            }
+        }
+
+        fn note(&self, i: JobId) {
+            self.evaluations.set(self.evaluations.get() + 1);
+            self.asked.borrow_mut().insert(i);
+        }
+
+        /// Evaluations and distinct jobs asked about since the last take.
+        fn take(&self) -> (usize, usize) {
+            (self.evaluations.take(), self.asked.take().len())
+        }
+    }
+
+    impl CoRunModel for Counting<'_> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn name(&self, i: JobId) -> &str {
+            self.inner.name(i)
+        }
+        fn class(&self, i: JobId) -> usize {
+            self.inner.class(i)
+        }
+        fn levels(&self, device: Device) -> usize {
+            self.inner.levels(device)
+        }
+        fn standalone(&self, i: JobId, device: Device, f: usize) -> f64 {
+            self.note(i);
+            self.inner.standalone(i, device, f)
+        }
+        fn degradation(&self, i: JobId, device: Device, f: usize, j: JobId, g: usize) -> f64 {
+            self.note(i);
+            self.inner.degradation(i, device, f, j, g)
+        }
+        fn solo_power(&self, i: JobId, device: Device, f: usize) -> f64 {
+            self.note(i);
+            self.inner.solo_power(i, device, f)
+        }
+        fn idle_power(&self) -> f64 {
+            self.inner.idle_power()
+        }
+    }
+
+    /// Three programs, 1k and then 50k jobs: a cap change categorizes
+    /// once per class, and a pick over every queued job costs the same
+    /// model evaluations at both sizes.
+    #[test]
+    fn cap_changes_and_picks_cost_the_same_at_any_history() {
+        let (cfg, predictor, _) = setup();
+        let programs: Vec<JobSpec> = (kernels::rodinia8(&cfg).jobs.iter().take(3))
+            .map(|j| kernels::with_input_scale(j, 0.05))
+            .collect();
+        let (kc, kg) = (cfg.freqs.cpu.len(), cfg.freqs.gpu.len());
+        let mut inc = IncrementalModel::new(cfg, predictor, ProfileMethod::Analytic, false);
+        let mut policy = OnlinePolicy::empty(HcsConfig::with_cap(15.0));
+        let mut runs = Vec::new();
+        for size in [1_000, 50_000] {
+            while inc.len() < size {
+                let k = inc.len();
+                let job = JobSpec {
+                    name: format!("{}@{k}", programs[k % 3].name),
+                    ..programs[k % 3].clone()
+                };
+                let id = inc.push_job(&job);
+                policy.admit_job(&inc, id);
+            }
+            assert_eq!((inc.class_count(), policy.preferences().len()), (3, 3));
+            let counting = Counting::new(&inc);
+            // Every job but the co-runners, then each class's jobs alone,
+            // so the other-preferred path and its steal guard run too.
+            let mut readies: Vec<Vec<JobId>> = vec![(3..size).collect()];
+            readies.extend((0..3).map(|c| (3..size).filter(|j| j % 3 == c).collect()));
+            let mut run = Vec::new();
+            for cap in [8.0, 12.0, 15.0, 40.0] {
+                policy.set_cap_w(&counting, cap);
+                let (evaluations, categorized) = counting.take();
+                assert_eq!(categorized, 3, "one categorize per class at {size} jobs");
+                run.push((evaluations, None));
+                for ready in &readies {
+                    for device in Device::ALL {
+                        let top = match device {
+                            Device::Cpu => kg - 1,
+                            Device::Gpu => kc - 1,
+                        };
+                        for co in [None, Some((0, 0)), Some((1, top)), Some((2, top))] {
+                            let pick = policy.pick(&counting, ready, device, co);
+                            run.push((counting.take().0, pick));
+                        }
+                    }
+                }
+            }
+            runs.push(run);
+        }
+        assert_eq!(runs[0], runs[1]);
+        assert!(
+            runs[0].iter().any(|(_, pick)| pick.is_some()),
+            "something was picked"
+        );
     }
 
     #[test]

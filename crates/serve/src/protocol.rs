@@ -360,6 +360,7 @@ fn metrics_json(m: &MetricsSnapshot) -> Json {
         ("queue_depth", Json::Num(m.queue_depth as f64)),
         ("queue_capacity", Json::Num(m.queue_capacity as f64)),
         ("submitted", Json::Num(m.submitted as f64)),
+        ("classes", Json::Num(m.classes as f64)),
         ("rejected", Json::Num(m.rejected as f64)),
         ("dispatched", Json::Num(m.dispatched as f64)),
         ("completed", Json::Num(m.completed as f64)),
@@ -498,6 +499,7 @@ mod tests {
 
         let m = call(&svc, r#"{"op":"metrics"}"#);
         assert_eq!(m.get("submitted").and_then(Json::as_index), Some(0));
+        assert_eq!(m.get("classes").and_then(Json::as_index), Some(0));
         assert_eq!(m.get("rejected").and_then(Json::as_index), Some(6));
         svc.shutdown();
     }

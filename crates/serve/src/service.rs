@@ -3,9 +3,9 @@
 //!
 //! This is the in-process core that both the TCP server
 //! ([`crate::server`]) and the benchmarks drive. Jobs arrive as workload
-//! spec fragments ([`corun_verify`] spec syntax), pass the lint gate, are
-//! profiled into a growing [`runtime::IncrementalModel`], and enter a
-//! bounded admission queue. One worker thread per simulated machine runs a
+//! spec fragments ([`corun_verify`] spec syntax), pass the lint gate, join
+//! a growing [`runtime::IncrementalModel`] (which profiles each distinct
+//! program once, as a class), and enter a bounded admission queue. One worker thread per simulated machine runs a
 //! resumable [`apu_sim::Session`] driven by [`corun_core::OnlinePolicy`]
 //! through a dispatcher that pulls from the shared queue; completions,
 //! utilization, and power-cap violations feed the metrics snapshot.
@@ -241,6 +241,9 @@ pub struct MetricsSnapshot {
     pub queue_capacity: usize,
     /// Total jobs ever admitted.
     pub submitted: usize,
+    /// Distinct job classes (programs, name aside) in the model: what
+    /// was profiled and what `set_cap_w` re-categorizes.
+    pub classes: usize,
     /// Submissions refused with backpressure (jobs, not requests).
     pub rejected: usize,
     /// Jobs handed to a simulated machine.
@@ -523,8 +526,8 @@ impl Service {
     }
 
     /// Submit a workload spec fragment (one or more `name [xSCALE]
-    /// [*COUNT]` lines). The fragment is linted, its jobs profiled and
-    /// admitted atomically: either every expanded job is queued and their
+    /// [*COUNT]` lines). The fragment is linted, its new classes profiled
+    /// and its jobs admitted atomically: either every expanded job is queued and their
     /// ids returned, or nothing is.
     pub fn submit_spec(&self, text: &str) -> Result<Vec<JobId>, SubmitError> {
         let (lines, report) = corun_verify::lint_spec_full(text);
@@ -727,6 +730,7 @@ impl Service {
             queue_depth: inner.st.queue.len(),
             queue_capacity: self.shared.cfg.queue_capacity,
             submitted: c.accepted - c.rejected,
+            classes: inner.model.class_count(),
             rejected: c.rejected + inner.refused,
             dispatched: c.dispatched,
             completed: c.completed,
@@ -1491,7 +1495,7 @@ impl WorkerDispatcher {
             Some((cj, cl)) => inner.model.corun_time(job, device, level, cj, cl),
             None => inner.model.standalone(job, device, level),
         };
-        let spec = inner.model.job(job).clone();
+        let spec = inner.model.job(job);
         // The engine only polls a device it has idled, but the previous
         // occupant's completion/failure may still await harvest; clear
         // the slot so the pure transition sees the engine's truth.
@@ -1883,6 +1887,7 @@ mod tests {
         }
         let m = svc.metrics();
         assert_eq!(m.submitted, 3);
+        assert_eq!(m.classes, 2, "both `lud x0.1` jobs are one class");
         assert_eq!(m.completed, 3);
         assert_eq!(m.dispatched, 3);
         assert_eq!(m.queue_depth, 0);
@@ -2122,6 +2127,7 @@ mod tests {
         cfg.recover = true;
         let svc = Service::start(cfg);
         assert_eq!(svc.job_count(), 2);
+        assert_eq!(svc.metrics().classes, 2, "recovery interns its jobs");
         for (&id, &end_s) in ids.iter().zip(&ends) {
             let st = svc.job_status(id).unwrap();
             match st.state {
