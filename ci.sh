@@ -40,6 +40,13 @@ echo "== corun-bench: build and test the benchmark against this workspace"
 # or to the dependency graph behind its lockfile breaks it.
 cargo test -q --release --locked --manifest-path corun-bench/Cargo.toml
 
+echo "== fleet RPC budget: load-carrying replies and protocol-2 compatibility"
+# Submit and status replies carry the shard's `load`, which replaces the
+# per-round `metrics` poll; a daemon whose replies lack it must still
+# drain exactly once through polls and the terminal-count gate.
+cargo test -q --release -p corun-fleet --test rpc_budget
+cargo test -q --release -p corun-serve --lib load_equals_the_metrics_counters
+
 echo "== sanitizer-feature tests"
 cargo test -q -p corun-verify -p apu-sim --features corun-verify/sanitize
 

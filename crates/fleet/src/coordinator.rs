@@ -17,6 +17,7 @@ use crate::router::{FleetJob, FleetJobId, JobLoc, Router};
 use crate::shard::{JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
 use corun_core::budget::{partition_cluster_cap, ShardDemand};
 use corun_serve::wal::{self, repair_tail, Journal};
+use corun_serve::LoadSnapshot;
 use corun_verify::{Code, Diagnostic, Report, Severity};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -69,7 +70,9 @@ pub struct FleetConfig {
     pub steal_threshold: usize,
     /// Max jobs one steal moves.
     pub steal_batch: usize,
-    /// Rounds between budget rebalances.
+    /// Rounds between budget rebalances. A rebalance round polls every
+    /// shard with a full `metrics` call, so the partition weighs demand
+    /// as the round starts.
     pub rebalance_every: usize,
     /// Stop submitting to a shard once its observed queue depth reaches
     /// this many jobs.
@@ -249,9 +252,17 @@ pub struct Fleet {
     /// Shard-local id -> fleet id, per shard.
     outstanding: Vec<BTreeMap<usize, FleetJobId>>,
     /// Last terminal count (`completed + dead_lettered`) folded per
-    /// shard; a change triggers an outstanding sweep.
+    /// shard; for a shard that does not report `load`, a change triggers
+    /// an outstanding sweep.
     folded_terminal: Vec<usize>,
     force_sweep: Vec<bool>,
+    /// Per shard, the `load` its last submit or status reply this round
+    /// carried: the next round's poll merges it instead of sending
+    /// `metrics`.
+    heard: Vec<Option<LoadSnapshot>>,
+    /// Shards whose replies have carried `load` (protocol 3 daemons):
+    /// they are swept every round they hold outstanding jobs.
+    reports_load: Vec<bool>,
     metrics_cache: Vec<ShardMetrics>,
     caps_w: Vec<f64>,
     rounds: u64,
@@ -434,6 +445,8 @@ impl Fleet {
             // A recovered coordinator sweeps every shard: its books may
             // trail what shards finished while it was dead.
             force_sweep: vec![recoveries > 0; n],
+            heard: vec![None; n],
+            reports_load: vec![false; n],
             metrics_cache: vec![ShardMetrics::default(); n],
             max_cap_sum_w: caps_w.iter().sum(),
             caps_w,
@@ -450,7 +463,7 @@ impl Fleet {
             shards,
             cfg,
         };
-        fleet.poll_shards();
+        fleet.poll_shards(true);
         fleet.rebalance();
         fleet.log_commit();
         Ok(fleet)
@@ -551,7 +564,11 @@ impl Fleet {
     /// short sleep (see [`Fleet::drain`]).
     pub fn pump(&mut self) -> usize {
         self.rounds += 1;
-        self.poll_shards();
+        let rebalance_due = self.cfg.rebalance_every > 0
+            && self.rounds.is_multiple_of(self.cfg.rebalance_every as u64);
+        // The budget partition weighs each shard's demand as this round
+        // starts, not as its last submit left it: poll in full for it.
+        self.poll_shards(rebalance_due);
         for s in 0..self.cfg.shards {
             if self.shards[s].take_incarnation_change() {
                 // The shard restarted or recovered behind our back: its
@@ -573,9 +590,7 @@ impl Fleet {
                 let _ = self.recover_shard(s);
             }
         }
-        if self.cfg.rebalance_every > 0
-            && self.rounds.is_multiple_of(self.cfg.rebalance_every as u64)
-        {
+        if rebalance_due {
             self.rebalance();
         }
         self.evacuate_dead();
@@ -630,7 +645,7 @@ impl Fleet {
     /// fleet: the shard snapshots in [`Fleet::metrics`] are then no older
     /// than the books.
     pub fn refresh(&mut self) {
-        self.poll_shards();
+        self.poll_shards(true);
     }
 
     /// Aggregated metrics.
@@ -814,7 +829,14 @@ impl Fleet {
         self.rebalances += 1;
     }
 
-    fn poll_shards(&mut self) {
+    /// Refresh the view of every shard. In a round's poll (`full ==
+    /// false`), a shard whose last submit or status reply carried `load`
+    /// gets no `metrics` RPC: that reply was its heartbeat, and its
+    /// counters are merged into the cached snapshot. An open circuit
+    /// ignores such a reply and waits for its probe. A full poll
+    /// (start-up, rebalance rounds, [`Fleet::refresh`]) asks every
+    /// reachable shard for a whole snapshot.
+    fn poll_shards(&mut self, full: bool) {
         for s in 0..self.cfg.shards {
             // An open circuit is only *probed* on its cadence; between
             // probes the shard stays fenced off without paying an RPC
@@ -823,19 +845,19 @@ impl Fleet {
                 .rounds
                 .saturating_sub(self.breakers[s].last_probe_round)
                 >= self.cfg.probe_every_rounds.max(1);
-            if self.breakers[s].state == Circuit::Dead && !probe_due {
+            let heard = self.heard[s].take();
+            let dead = self.breakers[s].state == Circuit::Dead;
+            if let Some(load) = heard.filter(|_| !full && !dead) {
+                self.metrics_cache[s].merge_load(&load);
+                self.heartbeat(s);
+            } else if dead && !probe_due {
                 self.view.alive[s] = false;
             } else {
                 self.breakers[s].last_probe_round = self.rounds;
                 match self.shards[s].metrics() {
                     Ok(m) => {
-                        // Transport healthy — even if every worker died,
-                        // that is the *shard's* problem (journal recovery
-                        // handles it), not the network's.
-                        self.breakers[s].failures = 0;
-                        self.breakers[s].state = Circuit::Live;
                         self.metrics_cache[s] = m;
-                        self.view.alive[s] = m.is_alive();
+                        self.heartbeat(s);
                     }
                     Err(_) => {
                         self.view.alive[s] = false;
@@ -851,6 +873,15 @@ impl Fleet {
                     0
                 };
         }
+    }
+
+    /// A reply from `s` arrived: its transport is healthy — even if every
+    /// worker died, that is the *shard's* problem (journal recovery
+    /// handles it), not the network's.
+    fn heartbeat(&mut self, s: usize) {
+        self.breakers[s].failures = 0;
+        self.breakers[s].state = Circuit::Live;
+        self.view.alive[s] = self.metrics_cache[s].is_alive();
     }
 
     /// Record one transport failure against `s`'s breaker, opening the
@@ -879,7 +910,7 @@ impl Fleet {
     /// Raise FLT008 when a shard's transport rejected stale-epoch
     /// replies since the last poll.
     fn surface_fenced(&mut self, s: usize) {
-        let fenced = self.shards[s].rpc_stats().fenced;
+        let fenced = self.shards[s].fenced_replies();
         if fenced > self.fenced_seen[s] {
             self.chaos.push(Diagnostic::new(
                 Code::Flt008,
@@ -954,6 +985,7 @@ impl Fleet {
                 })
                 .collect();
             let mut outcomes = self.shards[s].submit_batch(&items).into_iter();
+            let load = self.note_load(s);
             let mut down = false;
             let mut in_doubt = false;
             for &id in &doubt {
@@ -1017,8 +1049,18 @@ impl Fleet {
             }
             if down || in_doubt {
                 self.breaker_trip(s);
+            } else {
+                self.heard[s] = load;
             }
         }
+    }
+
+    /// Take the `load` the call just made to `s` returned, noting that the
+    /// shard reports one.
+    fn note_load(&mut self, s: usize) -> Option<LoadSnapshot> {
+        let load = self.shards[s].take_load();
+        self.reports_load[s] |= load.is_some();
+        load
     }
 
     /// Book a job the shard accepted under `local_id`.
@@ -1031,8 +1073,12 @@ impl Fleet {
         });
     }
 
-    /// Sweep shards whose terminal counters moved and fold job fates
-    /// into the router. Returns how many jobs left the outstanding set.
+    /// Sweep shards and fold job fates into the router. A shard that
+    /// reports `load` is swept every round it holds outstanding jobs, so
+    /// a job that finishes right after its submit is seen this round.
+    /// Any other shard is swept only when the terminal count of this
+    /// round's `metrics` poll moved. Returns how many jobs left the
+    /// outstanding set.
     fn fold_completions(&mut self) -> usize {
         let mut folded = 0;
         for s in 0..self.cfg.shards {
@@ -1040,7 +1086,12 @@ impl Fleet {
                 continue;
             }
             let terminal = self.metrics_cache[s].completed + self.metrics_cache[s].dead_lettered;
-            if terminal == self.folded_terminal[s] && !self.force_sweep[s] {
+            let due = if self.reports_load[s] {
+                !self.outstanding[s].is_empty()
+            } else {
+                terminal != self.folded_terminal[s]
+            };
+            if !due && !self.force_sweep[s] {
                 continue;
             }
             self.force_sweep[s] = false;
@@ -1051,9 +1102,12 @@ impl Fleet {
                 match self.shards[s].job_phases(&locals) {
                     Ok(phases) => {
                         debug_assert_eq!(phases.len(), locals.len(), "one phase per job");
+                        // Newer than the submit reply's.
+                        self.heard[s] = self.note_load(s);
                         phases
                     }
                     Err(_) => {
+                        self.heard[s] = None;
                         self.view.alive[s] = false;
                         self.breaker_trip(s);
                         // Jobs may already be terminal, and the count will

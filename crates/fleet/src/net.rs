@@ -31,7 +31,7 @@
 use crate::shard::{JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
 use corun_core::{Clock, DetRng, WallClock};
 use corun_serve::json::obj;
-use corun_serve::{handle_request, Json, Service, PROTOCOL_VERSION};
+use corun_serve::{handle_request, Json, LoadSnapshot, Service, PROTOCOL_VERSION};
 use corun_verify::{Code, Diagnostic, Report};
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
@@ -653,6 +653,9 @@ pub struct RpcShard<T: RawTransport> {
     /// every in-flight job against the new incarnation's journal.
     incarnation_changed: bool,
     stats: RpcStats,
+    /// The `load` of the last keyed-batch `submit` or multi-id `status`
+    /// reply, until [`ShardBackend::take_load`] takes it or a call fails.
+    load: Option<LoadSnapshot>,
 }
 
 impl<T: RawTransport> RpcShard<T> {
@@ -668,6 +671,7 @@ impl<T: RawTransport> RpcShard<T> {
             epoch: 0,
             incarnation_changed: false,
             stats: RpcStats::default(),
+            load: None,
         }
     }
 
@@ -734,6 +738,8 @@ impl<T: RawTransport> RpcShard<T> {
             // possibly-delivered attempt.
             last = NetError::Timeout("retried after a possibly-delivered attempt".into());
         }
+        // An older reply's load must not pass for a heartbeat after this.
+        self.load = None;
         Err(last)
     }
 
@@ -847,6 +853,7 @@ impl<T: RawTransport> RpcShard<T> {
             Err(e) if e.certainly_undelivered() => return all(SubmitOutcome::Down(e.to_string())),
             Err(e) => return all(SubmitOutcome::Indeterminate(e.to_string())),
         };
+        self.load = load_of(&r);
         match r.get("results").and_then(Json::as_arr) {
             Some(results) if results.len() == n => results.iter().map(submit_outcome).collect(),
             Some(results) => all(SubmitOutcome::Indeterminate(format!(
@@ -897,6 +904,20 @@ fn submit_outcome(r: &Json) -> SubmitOutcome {
         "journal_failed" => SubmitOutcome::Indeterminate(format!("{code}: {msg}")),
         _ => SubmitOutcome::Refused(format!("{code}: {msg}")),
     }
+}
+
+/// A reply's `load` object (protocol 3); `None` when it is absent or
+/// lacks a counter.
+fn load_of(r: &Json) -> Option<LoadSnapshot> {
+    let load = r.get("load")?;
+    let num = |k: &str| load.get(k).and_then(Json::as_index);
+    Some(LoadSnapshot {
+        queue_depth: num("queue_depth")?,
+        submitted: num("submitted")?,
+        completed: num("completed")?,
+        dead_lettered: num("dead_lettered")?,
+        workers_alive: num("workers_alive")?,
+    })
 }
 
 /// The phase a `status` state string stands for (`unknown` for an id the
@@ -972,6 +993,7 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
                     ("ids", Json::Arr(ids)),
                 ])
                 .map_err(|e| e.to_string())?;
+            self.load = load_of(&r);
             if let Some(code) = r.get("error").and_then(Json::as_str) {
                 let msg = r.get("message").and_then(Json::as_str);
                 return Err(msg.unwrap_or(code).to_string());
@@ -1055,6 +1077,14 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
 
     fn rpc_stats(&self) -> RpcSnapshot {
         self.stats.snapshot()
+    }
+
+    fn fenced_replies(&self) -> u64 {
+        self.stats.fenced
+    }
+
+    fn take_load(&mut self) -> Option<LoadSnapshot> {
+        self.load.take()
     }
 }
 

@@ -4,7 +4,7 @@
 
 use crate::net::RpcSnapshot;
 use apu_sim::FaultPlan;
-use corun_serve::{JobState, Service, ServiceConfig, SubmitError};
+use corun_serve::{JobState, LoadSnapshot, Service, ServiceConfig, SubmitError};
 use std::path::Path;
 
 /// What happened to one submission attempt.
@@ -81,6 +81,16 @@ impl ShardMetrics {
     pub fn is_alive(&self) -> bool {
         self.workers_alive > 0
     }
+
+    /// Overwrite the counters a reply's `load` carries; the rest stays as
+    /// the last full snapshot left it.
+    pub fn merge_load(&mut self, load: &LoadSnapshot) {
+        self.queue_depth = load.queue_depth;
+        self.submitted = load.submitted;
+        self.completed = load.completed;
+        self.dead_lettered = load.dead_lettered;
+        self.workers_alive = load.workers_alive;
+    }
 }
 
 /// One shard as the coordinator drives it.
@@ -155,6 +165,21 @@ pub trait ShardBackend: Send {
     /// an injected transport).
     fn rpc_stats(&self) -> RpcSnapshot {
         RpcSnapshot::default()
+    }
+
+    /// [`RpcSnapshot::fenced`] alone, which the coordinator reads every
+    /// round; backends that keep latency percentiles override it so the
+    /// read does not compute them.
+    fn fenced_replies(&self) -> u64 {
+        self.rpc_stats().fenced
+    }
+
+    /// The `load` the last keyed `submit` batch or multi-id `status` reply
+    /// carried, taken once. `None` when that reply carried none (a
+    /// protocol-2 daemon, an in-process shard) or the call failed. The
+    /// coordinator takes it right after each such call.
+    fn take_load(&mut self) -> Option<LoadSnapshot> {
+        None
     }
 }
 

@@ -63,7 +63,8 @@ pub use protocol::{handle_request, PROTOCOL_VERSION};
 pub use ring::{MetricsPoint, MetricsRing, RING_CAPACITY};
 pub use server::{read_frame, Frame, Server, MAX_FRAME_BYTES};
 pub use service::{
-    JobState, JobStatus, JournalFailed, MetricsSnapshot, Service, ServiceConfig, SubmitError,
+    JobState, JobStatus, JournalFailed, LoadSnapshot, MetricsSnapshot, Service, ServiceConfig,
+    SubmitError,
 };
 pub use snapshot::{apply_state, encode_state};
 pub use state::{

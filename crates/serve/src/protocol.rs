@@ -9,13 +9,15 @@
 //! raw lines, and tests can drive the whole protocol without a socket.
 
 use crate::json::{obj, Json};
-use crate::service::{JobState, JobStatus, JournalFailed, MetricsSnapshot, Service, SubmitError};
+use crate::service::{
+    JobState, JobStatus, JournalFailed, LoadSnapshot, MetricsSnapshot, Service, SubmitError,
+};
 use apu_sim::Device;
 
 /// Protocol revision, echoed by `ping` and checked by clients. Version 2
 /// added the keyed batch form of `submit` (`items`) and the multi-id form
-/// of `status` (`ids`).
-pub const PROTOCOL_VERSION: u32 = 2;
+/// of `status` (`ids`); version 3 added the `load` object to both replies.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Handle one request line; always returns exactly one JSON line
 /// (without the trailing newline).
@@ -91,8 +93,8 @@ fn dispatch(service: &Service, req: &Json) -> Json {
             else {
                 return error("bad_request", "`ids` must be an array of job ids");
             };
-            let phases = service
-                .job_states(&ids)
+            let (states, load) = service.job_states_with_load(&ids);
+            let phases = states
                 .iter()
                 .map(|st| Json::Str(st.as_ref().map_or("unknown", state_str).into()))
                 .collect();
@@ -101,6 +103,7 @@ fn dispatch(service: &Service, req: &Json) -> Json {
                 obj(vec![
                     ("ok", Json::Bool(true)),
                     ("phases", Json::Arr(phases)),
+                    ("load", load_json(&load)),
                 ]),
             )
         }
@@ -167,8 +170,9 @@ fn dispatch(service: &Service, req: &Json) -> Json {
 
 /// `submit` with `"items":[{"key","spec"}...]`: one keyed submit per
 /// item under one lock hold and one commit. Each entry of `results` has
-/// the shape of a single keyed `submit` reply. A malformed item refuses
-/// the whole request before anything is admitted.
+/// the shape of a single keyed `submit` reply; `load` is the shard's load
+/// as that lock hold ends. A malformed item refuses the whole request
+/// before anything is admitted.
 fn keyed_batch(service: &Service, req: &Json) -> Json {
     let Some(items) = req.get("items").and_then(Json::as_arr) else {
         return error("bad_request", "`items` must be an array");
@@ -185,8 +189,8 @@ fn keyed_batch(service: &Service, req: &Json) -> Json {
         };
         pairs.push((key, spec));
     }
-    let results = service
-        .submit_keyed_batch(&pairs)
+    let (outcomes, load) = service.submit_keyed_batch_with_load(&pairs);
+    let results = outcomes
         .iter()
         .map(|r| match r {
             Ok(id) => ids_json(&[*id]),
@@ -196,6 +200,19 @@ fn keyed_batch(service: &Service, req: &Json) -> Json {
     obj(vec![
         ("ok", Json::Bool(true)),
         ("results", Json::Arr(results)),
+        ("load", load_json(&load)),
+    ])
+}
+
+/// The `load` object of keyed-batch `submit` and multi-id `status`
+/// replies: the fields of the same name in a `metrics` reply.
+fn load_json(load: &LoadSnapshot) -> Json {
+    obj(vec![
+        ("queue_depth", Json::Num(load.queue_depth as f64)),
+        ("submitted", Json::Num(load.submitted as f64)),
+        ("completed", Json::Num(load.completed as f64)),
+        ("dead_lettered", Json::Num(load.dead_lettered as f64)),
+        ("workers_alive", Json::Num(load.workers_alive as f64)),
     ])
 }
 
@@ -662,6 +679,41 @@ mod tests {
         assert_eq!(svc.job_count(), 2, "malformed batches admit nothing");
         svc.shutdown();
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn load_equals_the_metrics_counters_in_the_same_state() {
+        const KEYS: [&str; 5] = [
+            "queue_depth",
+            "submitted",
+            "completed",
+            "dead_lettered",
+            "workers_alive",
+        ];
+        let counters = |j: &Json| -> Vec<usize> {
+            KEYS.iter()
+                .map(|k| j.get(k).and_then(Json::as_index).expect(k))
+                .collect()
+        };
+        let svc = service();
+        let batch = r#"{"op":"submit","items":[
+            {"key":"a","spec":"lud x0.1"},{"key":"b","spec":"srad x0.1"}]}"#;
+        let r = call(&svc, batch);
+        let load = r.get("load").expect("a keyed batch reply carries load");
+        // Workers cannot move the admitted count; it is the batch's own.
+        assert_eq!(load.get("submitted").and_then(Json::as_index), Some(2));
+
+        svc.wait_idle();
+        let m = call(&svc, r#"{"op":"metrics"}"#);
+        assert_eq!(counters(&m)[2], 2, "both jobs completed");
+        // A multi-id status and an all-dedup batch leave the state as the
+        // metrics poll saw it.
+        let st = call(&svc, r#"{"op":"status","ids":[0,1]}"#);
+        assert_eq!(counters(st.get("load").expect("status load")), counters(&m));
+        let again = call(&svc, batch);
+        assert_eq!(counters(again.get("load").expect("load")), counters(&m));
+        assert_eq!(svc.job_count(), 2, "dedup hits admit nothing");
+        svc.shutdown();
     }
 
     #[test]

@@ -293,6 +293,28 @@ pub struct MetricsSnapshot {
     pub journal_commits: u64,
 }
 
+/// The counters a fleet coordinator places, steals and sweeps by: what
+/// every keyed-batch `submit` and multi-id `status` reply carries as
+/// `load`, read under the same lock hold as the reply's own data. Each
+/// field equals the [`MetricsSnapshot`] field of the same name.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LoadSnapshot {
+    /// Jobs admitted but not yet dispatched.
+    pub queue_depth: usize,
+    /// Total jobs ever admitted.
+    pub submitted: usize,
+    /// Jobs completed.
+    pub completed: usize,
+    /// Jobs that exhausted their retry budget.
+    pub dead_lettered: usize,
+    /// Workers still alive.
+    pub workers_alive: usize,
+}
+
+/// One linted keyed job and the (program, scale) its journal record
+/// names.
+type KeyedJob = (JobSpec, (String, f64));
+
 struct Inner {
     model: IncrementalModel,
     policy: OnlinePolicy,
@@ -596,11 +618,31 @@ impl Service {
     /// fresh item gets `QueueFull`. If the commit fails, every fresh item
     /// is withdrawn and every item answers `JournalFailed`.
     pub fn submit_keyed_batch(&self, items: &[(&str, &str)]) -> Vec<Result<JobId, SubmitError>> {
+        self.submit_keyed_batch_with_load(items).0
+    }
+
+    /// [`Service::submit_keyed_batch`] plus the shard's load as it stands
+    /// when the batch's lock hold ends.
+    pub fn submit_keyed_batch_with_load(
+        &self,
+        items: &[(&str, &str)],
+    ) -> (Vec<Result<JobId, SubmitError>>, LoadSnapshot) {
         let built: Vec<_> = items
             .iter()
             .map(|&(key, text)| self.keyed_job(key, text))
             .collect();
         let mut inner = self.lock();
+        let outcomes = self.admit_keyed(&mut inner, items, built);
+        (outcomes, inner.load())
+    }
+
+    /// The locked half of [`Service::submit_keyed_batch`].
+    fn admit_keyed(
+        &self,
+        inner: &mut Inner,
+        items: &[(&str, &str)],
+        built: Vec<Result<KeyedJob, SubmitError>>,
+    ) -> Vec<Result<JobId, SubmitError>> {
         // The fail-stop state admits nothing, keyed dedup hits included.
         if let Err(e) = inner.journal_healthy() {
             return vec![Err(SubmitError::JournalFailed(e)); items.len()];
@@ -643,7 +685,7 @@ impl Service {
 
     /// Lint a keyed fragment and expand it to its one job, named `key`,
     /// paired with the (program, scale) the journal records.
-    fn keyed_job(&self, key: &str, text: &str) -> Result<(JobSpec, (String, f64)), SubmitError> {
+    fn keyed_job(&self, key: &str, text: &str) -> Result<KeyedJob, SubmitError> {
         let (lines, report) = corun_verify::lint_spec_full(text);
         if report.has_errors() {
             return Err(SubmitError::Lint(report));
@@ -687,13 +729,19 @@ impl Service {
     /// States of several jobs under one lock hold, `None` for unknown
     /// ids. Commits once, as [`Service::job_status`] does.
     pub fn job_states(&self, ids: &[JobId]) -> Vec<Option<JobState>> {
+        self.job_states_with_load(ids).0
+    }
+
+    /// [`Service::job_states`] plus the shard's load, read under the same
+    /// lock hold as the states.
+    pub fn job_states_with_load(&self, ids: &[JobId]) -> (Vec<Option<JobState>>, LoadSnapshot) {
         let mut inner = self.lock();
         let states = ids
             .iter()
             .map(|&id| inner.st.jobs().get(id).map(|j| j.state.clone()))
             .collect();
         let _ = inner.commit();
-        states
+        (states, inner.load())
     }
 
     /// Why the journal failed, once it has: the daemon then admits
@@ -726,16 +774,17 @@ impl Service {
             .fold(0.0, f64::max);
         let simulated = inner.last_end_s.iter().copied().fold(0.0, f64::max);
         let c = inner.st.counters;
+        let load = inner.load();
         MetricsSnapshot {
-            queue_depth: inner.st.queue.len(),
+            queue_depth: load.queue_depth,
             queue_capacity: self.shared.cfg.queue_capacity,
-            submitted: c.accepted - c.rejected,
+            submitted: load.submitted,
             classes: inner.model.class_count(),
             rejected: c.rejected + inner.refused,
             dispatched: c.dispatched,
-            completed: c.completed,
+            completed: load.completed,
             machines: self.shared.cfg.machines,
-            workers_alive: inner.workers_alive,
+            workers_alive: load.workers_alive,
             sim_now_s: inner.sim_now_s.clone(),
             util,
             predicted_makespan_s: predicted,
@@ -745,7 +794,7 @@ impl Service {
             cap_samples: inner.cap_samples,
             worker_error: inner.worker_error.clone(),
             requeued: c.requeued,
-            dead_lettered: c.dead_lettered,
+            dead_lettered: load.dead_lettered,
             evictions: c.evictions,
             machines_down: inner.st.machines.iter().map(|m| m.down).collect(),
             lost_work_s: inner.lost_work_s,
@@ -1243,6 +1292,17 @@ impl Inner {
                 let loc = journal.path().display().to_string();
                 Err(self.journal_fail(loc, format!("journal commit failed: {e}")))
             }
+        }
+    }
+
+    fn load(&self) -> LoadSnapshot {
+        let c = self.st.counters;
+        LoadSnapshot {
+            queue_depth: self.st.queue.len(),
+            submitted: c.accepted - c.rejected,
+            completed: c.completed,
+            dead_lettered: c.dead_lettered,
+            workers_alive: self.workers_alive,
         }
     }
 
