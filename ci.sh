@@ -274,6 +274,45 @@ timeout 60 $CORUN replay "$CHAOS_JOURNAL" --quiet || {
     exit 1
 }
 
+# Recovery is the replay fold: a copy with one mid-history `accept` line
+# deleted (an id gap the causality check cannot see) must be refused by
+# both — `corun replay` with RPL003, `serve --recover` with an SRV009
+# error and the copy's bytes kept at `<copy>.refused`.
+GAP_JOURNAL=$(mktemp)
+GAP_LINE=$(grep -n '^{"t":"accept"' "$CHAOS_JOURNAL" | sed -n 2p | cut -d: -f1)
+[ -n "$GAP_LINE" ] || {
+    echo "FAIL: the kill -9 journal holds fewer than two accepts" >&2
+    exit 1
+}
+sed "${GAP_LINE}d" "$CHAOS_JOURNAL" >"$GAP_JOURNAL"
+if GAP_OUT=$(timeout 60 $CORUN replay "$GAP_JOURNAL" 2>&1); then
+    echo "FAIL: a journal with an accept-id gap replayed cleanly: $GAP_OUT" >&2
+    exit 1
+fi
+echo "$GAP_OUT" | grep -q 'RPL003' || {
+    echo "FAIL: an accept-id gap did not raise RPL003: $GAP_OUT" >&2
+    exit 1
+}
+cp "$GAP_JOURNAL" "$GAP_JOURNAL.orig"
+$CORUN serve --fast --port 0 --machines 2 --journal "$GAP_JOURNAL" --recover \
+    >"$CHAOS_LOG" 2>&1 &
+GAP_PID=$!
+trap 'kill -9 "$GAP_PID" 2>/dev/null || true' EXIT
+GAP_ADDR=$(wait_for_addr "$CHAOS_LOG" "$GAP_PID")
+GAP_DIAG=$(timeout 30 $CORUN status --addr "$GAP_ADDR" --diag)
+timeout 30 $CORUN shutdown --addr "$GAP_ADDR" >/dev/null
+wait "$GAP_PID" 2>/dev/null || true
+trap - EXIT
+echo "$GAP_DIAG" | grep -q '"code":"SRV009","severity":"error"' || {
+    echo "FAIL: recovery of an accept-id gap raised no SRV009 error: $GAP_DIAG" >&2
+    exit 1
+}
+cmp -s "$GAP_JOURNAL.orig" "$GAP_JOURNAL.refused" || {
+    echo "FAIL: the refused journal was not kept whole at $GAP_JOURNAL.refused" >&2
+    exit 1
+}
+rm -f "$GAP_JOURNAL" "$GAP_JOURNAL.orig" "$GAP_JOURNAL.refused"
+
 # Restart from the journal: every accepted job must be recovered and
 # driven to a terminal state (done or dead-letter), nothing dispatched
 # twice, and the books must balance.

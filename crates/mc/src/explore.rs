@@ -5,7 +5,7 @@
 //! BFS (rather than DFS) means the first violation found is reached by
 //! the fewest possible events — the counterexample trace is minimal in
 //! schedule length by construction. Memoization keys on what a node can
-//! still *do* (state fingerprint + what its journal replays to + fault
+//! still *do* (state fingerprint + what its journal recovers to + fault
 //! budgets), so interleavings that converge are explored once.
 //!
 //! At every visited node the explorer checks, through the same code the
@@ -13,12 +13,11 @@
 //!
 //! * [`ServiceState::check_invariants`] — no job lost, no double
 //!   dispatch, books balanced (MC0001/MC0002/MC0004);
-//! * [`ServiceState::check_replay_consistency`] against a replay of the
-//!   node's journal, plus replay idempotence across a recovery boundary
-//!   and journal causality (MC0003).
+//! * replay consistency (MC0003): the node's journal folds, and the
+//!   fold fingerprints equal to the live state; plus journal causality.
 
 use crate::model::{apply, enabled, memo_key, Event, Mutation, Node, Scope};
-use corun_serve::journal::{check_causality, replay, Record};
+use corun_serve::journal::check_causality;
 use corun_serve::state::{ServiceState, Violation, ViolationKind};
 use corun_verify::{Code, Diagnostic, Report};
 use std::collections::{HashSet, VecDeque};
@@ -209,8 +208,8 @@ pub fn explore(scope: &Scope, mutation: Mutation) -> Exploration {
     let mut parents: Vec<Option<(usize, Event)>> = vec![None];
     let mut frontier: VecDeque<(Node, usize, usize)> = VecDeque::new(); // (node, edge idx, depth)
     let mut seen: HashSet<u64> = HashSet::new();
-    let (recovered, _) = replay(&root.journal);
-    seen.insert(memo_key(&root, &recovered));
+    // An empty journal recovers to the empty root state itself.
+    seen.insert(memo_key(&root, &root.st));
     frontier.push_back((root, 0, 0));
 
     let mut states = 1usize;
@@ -232,14 +231,8 @@ pub fn explore(scope: &Scope, mutation: Mutation) -> Exploration {
             let edge = parents.len();
             parents.push(Some((idx, ev.clone())));
 
-            let (recovered, _) = replay(&next.journal);
             let mut violations = next.st.check_invariants();
-            violations.extend(next.st.check_replay_consistency(&recovered));
-            violations.extend(replay_idempotence(
-                &next.journal,
-                &recovered,
-                scope.machines,
-            ));
+            violations.extend(replay_mismatch(&next.st, &next.folded));
             let causality = check_causality(&next.journal);
             if causality.has_errors() {
                 violations.extend(causality.errors().map(|d| Violation {
@@ -262,6 +255,9 @@ pub fn explore(scope: &Scope, mutation: Mutation) -> Exploration {
                 };
             }
 
+            let recovered = next
+                .recovered(scope.machines)
+                .expect("a journal that does not fold is a violation");
             if seen.insert(memo_key(&next, &recovered)) {
                 if states < scope.max_states {
                     states += 1;
@@ -284,28 +280,35 @@ pub fn explore(scope: &Scope, mutation: Mutation) -> Exploration {
     }
 }
 
-/// Replay must be idempotent across a recovery boundary: appending the
-/// `Recovered` record a restart writes and replaying again yields the
-/// same per-job dispositions.
-fn replay_idempotence(
-    journal: &[Record],
-    recovered: &corun_serve::Recovered,
-    machines: usize,
-) -> Vec<Violation> {
-    let mut with_boundary = journal.to_vec();
-    with_boundary.push(Record::Recovered {
-        jobs: recovered.jobs.len(),
-        machines,
-    });
-    let (again, _) = replay(&with_boundary);
-    if again.jobs != recovered.jobs {
-        vec![Violation {
-            kind: ViolationKind::ReplayMismatch,
-            detail: "replay is not idempotent: replaying past a recovery boundary changed the dispositions".to_string(),
-        }]
-    } else {
-        Vec::new()
-    }
+/// The journal must replay to the live state: it folds, and the fold
+/// fingerprints equal to the live state.
+fn replay_mismatch(
+    live: &ServiceState,
+    folded: &Result<ServiceState, (usize, String)>,
+) -> Option<Violation> {
+    let detail = match folded {
+        Err((k, e)) => format!("journal record {k} does not fold: {e}"),
+        Ok(fold) if fold.fingerprint() == live.fingerprint() => return None,
+        Ok(fold) => {
+            let (live_jobs, fold_jobs) = (live.jobs(), fold.jobs());
+            match live_jobs.iter().zip(fold_jobs).position(|(a, b)| a != b) {
+                Some(id) => format!(
+                    "job {id} is {:?} live but {:?} in the journal's fold",
+                    live_jobs[id].state, fold_jobs[id].state
+                ),
+                None if live_jobs.len() != fold_jobs.len() => format!(
+                    "the live state holds {} job(s) but the journal's fold {}",
+                    live_jobs.len(),
+                    fold_jobs.len()
+                ),
+                None => "the journal's fold agrees with the live state on every job but not on its queue, slots or counters".to_string(),
+            }
+        }
+    };
+    Some(Violation {
+        kind: ViolationKind::ReplayMismatch,
+        detail,
+    })
 }
 
 /// Walk parent pointers from an edge back to the root; the events in

@@ -13,9 +13,9 @@
 //! [`ServiceState`](corun_serve::ServiceState) transition functions the
 //! live daemon uses (`crates/serve/src/state.rs`), journal records are
 //! the daemon's own [`Record`](corun_serve::Record)s, and recovery is
-//! the daemon's own `replay` + `restore_from`. What the checker proves
-//! holds for the daemon, modulo only the thin driver layer (locks,
-//! sockets, wall-clock gates).
+//! the daemon's own fold + recover ([`Node::recovered`]). What the checker
+//! proves holds for the daemon, modulo only the thin driver layer
+//! (locks, sockets, wall-clock gates).
 //!
 //! [`explore`] runs a breadth-first search with visited-state
 //! memoization; the first violation is therefore reached by a minimal

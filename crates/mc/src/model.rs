@@ -12,7 +12,7 @@
 
 use apu_sim::Device;
 use corun_core::{JobId, RetryPolicy};
-use corun_serve::journal::{replay, Record, Recovered};
+use corun_serve::journal::Record;
 use corun_serve::state::ServiceState;
 
 /// How big a world the checker enumerates. Every bound is a *scope*
@@ -26,7 +26,7 @@ pub struct Scope {
     pub jobs: usize,
     /// Retry budget per job before dead-lettering.
     pub max_retries: u32,
-    /// Daemon kills (`kill -9` + `--recover` replay) per run. A kill can
+    /// Daemon kills (`kill -9` + `--recover`) per run. A kill can
     /// happen after *every* journal append — each explored event is a
     /// journal boundary.
     pub max_kills: usize,
@@ -117,7 +117,7 @@ pub enum Event {
         machine: usize,
     },
     /// The daemon is killed and restarted with `--recover`: the state is
-    /// rebuilt by replaying the journal.
+    /// rebuilt by folding the journal and recovering the result.
     Kill,
     /// The daemon begins shutdown (no further admissions).
     Shutdown,
@@ -198,6 +198,9 @@ pub struct Node {
     pub st: ServiceState,
     /// The journal the daemon would have written along this path.
     pub journal: Vec<Record>,
+    /// `journal` folded through [`ServiceState::apply`] as each record
+    /// lands, or the index of the first record the fold refused and why.
+    pub folded: Result<ServiceState, (usize, String)>,
     /// Kills consumed.
     pub kills: usize,
     /// Crashes consumed.
@@ -210,9 +213,28 @@ impl Node {
         Node {
             st: ServiceState::new(scope.machines),
             journal: Vec::new(),
+            folded: Ok(ServiceState::new(scope.machines)),
             kills: 0,
             crashes: 0,
         }
+    }
+
+    /// Journal `rec` and fold it into [`Node::folded`].
+    fn log(&mut self, rec: Record) {
+        if let Ok(st) = &mut self.folded {
+            if let Err(e) = st.apply(&rec) {
+                self.folded = Err((self.journal.len(), e));
+            }
+        }
+        self.journal.push(rec);
+    }
+
+    /// What `--recover` restarts from after a kill: the journal's fold,
+    /// [`ServiceState::recover`]ed onto `machines` fresh machines.
+    pub fn recovered(&self, machines: usize) -> Result<ServiceState, (usize, String)> {
+        let mut st = self.folded.clone()?;
+        st.recover(machines);
+        Ok(st)
     }
 }
 
@@ -287,7 +309,7 @@ pub fn apply(
                 .st
                 .accept(&format!("job#{n}"), "prog", 1.0)
                 .map_err(err)?;
-            node.journal.push(rec);
+            node.log(rec);
         }
         Event::SubmitRejected => {
             let n = node.st.jobs().len();
@@ -295,9 +317,9 @@ pub fn apply(
                 .st
                 .accept(&format!("job#{n}"), "prog", 1.0)
                 .map_err(err)?;
-            node.journal.push(rec);
+            node.log(rec);
             let rec = node.st.reject(id).map_err(err)?;
-            node.journal.push(rec);
+            node.log(rec);
         }
         Event::Dispatch {
             job,
@@ -308,7 +330,7 @@ pub fn apply(
                 .st
                 .dispatch(*job, *machine, *device, 0.0, 1.0)
                 .map_err(err)?;
-            node.journal.push(rec);
+            node.log(rec);
             if mutation == Mutation::DoubleDispatch {
                 // The double-send race: another machine's slot also ends
                 // up pointing at the job.
@@ -325,7 +347,7 @@ pub fn apply(
             let id = node.st.machines[*machine].running[device.index()]
                 .ok_or_else(|| format!("{event}: slot is empty"))?;
             let rec = node.st.complete(id, 1.0).map_err(err)?;
-            node.journal.push(rec);
+            node.log(rec);
             if mutation == Mutation::DoubleCountCompletion {
                 node.st.counters.completed += 1;
             }
@@ -340,7 +362,7 @@ pub fn apply(
             let skip =
                 mutation == Mutation::SkipDeadRecord && matches!(fail.record, Record::Dead { .. });
             if !skip {
-                node.journal.push(fail.record);
+                node.log(fail.record);
             }
         }
         Event::Crash { machine } => {
@@ -348,9 +370,9 @@ pub fn apply(
                 .st
                 .crash(*machine, 0.0, retry, "machine crash")
                 .map_err(err)?;
-            node.journal.push(evict);
+            node.log(evict);
             for r in &reports {
-                node.journal.push(r.record.clone());
+                node.log(r.record.clone());
             }
             node.crashes += 1;
             if mutation == Mutation::LoseEvictedJob {
@@ -361,51 +383,33 @@ pub fn apply(
             }
         }
         Event::Kill => {
-            let (recovered, _report) = replay(&node.journal);
-            node.st = ServiceState::restore_from(&recovered, scope.machines);
-            node.journal.push(Record::Recovered {
-                jobs: recovered.jobs.len(),
+            node.st = node
+                .recovered(scope.machines)
+                .map_err(|(k, e)| format!("{event}: journal record {k}: {e}"))?;
+            node.log(Record::Recovered {
+                jobs: node.st.jobs().len(),
                 machines: scope.machines,
             });
             node.kills += 1;
         }
-        Event::Shutdown => node.st.begin_shutdown(),
+        Event::Shutdown => {
+            node.st.begin_shutdown();
+            node.log(Record::ShutdownBegin);
+        }
     }
     Ok(())
 }
 
 /// Fingerprint the behaviorally relevant part of a node for the visited
-/// set: the state itself, what the journal *replays to* (which is all a
-/// future `Kill` can observe of it), and the fault budgets. Journals
-/// that differ only in record order but replay identically merge.
-pub fn memo_key(node: &Node, recovered: &Recovered) -> u64 {
+/// set: the state itself, the state its journal recovers to
+/// ([`Node::recovered`], which is all a future `Kill` can observe of it),
+/// and the fault budgets.
+/// Journals that differ only in record order but recover identically
+/// merge.
+pub fn memo_key(node: &Node, recovered: &ServiceState) -> u64 {
     let mut h = Fnv::new();
     h.u64(node.st.fingerprint());
-    h.u64(recovered.jobs.len() as u64);
-    for j in &recovered.jobs {
-        h.str(&j.name);
-        h.str(&j.program);
-        h.u64(u64::from(j.retries));
-        match &j.disposition {
-            corun_serve::Disposition::Pending => h.u64(0),
-            corun_serve::Disposition::Rejected => h.u64(1),
-            corun_serve::Disposition::Done {
-                machine,
-                device,
-                end_s,
-                ..
-            } => {
-                h.u64(2);
-                h.u64(*machine as u64);
-                h.u64(device.index() as u64);
-                h.u64(end_s.to_bits());
-            }
-            corun_serve::Disposition::Dead { reason } => {
-                h.u64(3);
-                h.str(reason);
-            }
-        }
-    }
+    h.u64(recovered.fingerprint());
     h.u64(node.kills as u64);
     h.u64(node.crashes as u64);
     h.finish()
@@ -425,12 +429,6 @@ impl Fnv {
     }
     pub(crate) fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
             self.byte(b);
         }
     }

@@ -9,10 +9,11 @@
 //! (`corun_core::Clock` / `DetRng`, enforced by the `SRV011` lint).
 //! A journal is therefore a complete transcript: re-applying its
 //! records through the same pure [`ServiceState`] transition functions
-//! reproduces the live daemon's state bit-for-bit, and
+//! ([`ServiceState::apply`], the fold `--recover` runs too) reproduces
+//! the live daemon's state bit-for-bit, and
 //! [`ServiceState::fingerprint`] equality proves it.
 //!
-//! This crate is that re-execution engine, behind `corun replay`:
+//! This crate is the `corun replay` front end to that fold:
 //!
 //! - [`replay_journal`] / [`replay_records`] re-run a transcript,
 //!   verifying every embedded `Snapshot` checkpoint on the way
@@ -38,8 +39,7 @@
 //! thousands of jobs — see `BENCH_replay.json`) and exact. See `docs/REPLAY.md`
 //! for the event-sourcing contract the daemon upholds.
 
-use corun_core::RequeueOutcome;
-use corun_serve::{apply_state, replay as recover_replay, scan_journal, Record, ServiceState};
+use corun_serve::{apply_state, scan_journal, Record, ServiceState};
 use corun_verify::{Code, Diagnostic, Report};
 use std::path::Path;
 
@@ -126,7 +126,8 @@ pub fn replay_records(records: &[Record], opts: &ReplayOptions) -> ReplayOutcome
     outcome
 }
 
-/// Apply one record; `false` stops the replay (hard divergence).
+/// Apply one record through [`ServiceState::apply`], verifying it if it
+/// is a snapshot; `false` stops the replay (hard divergence, `RPL003`).
 fn apply(
     out: &mut ReplayOutcome,
     records: &[Record],
@@ -134,107 +135,19 @@ fn apply(
     rec: &Record,
     opts: &ReplayOptions,
 ) -> bool {
-    let at = |k: usize| format!("record {k}");
     match rec {
-        Record::Meta { machines, .. } => {
-            // Version problems are the scanner's job (SRV007); replay
-            // just takes the shape.
-            out.state = ServiceState::new(*machines);
-            true
-        }
-        Record::Recovered { machines, .. } => {
-            // A restart boundary: the daemon rebuilt its state by
-            // replaying everything above this line, exactly like this.
-            let (recovered, report) = recover_replay(&records[..k]);
-            for d in report.diagnostics {
-                out.report.push(d);
-            }
-            out.state = ServiceState::restore_from(&recovered, *machines);
-            true
-        }
-        Record::Accept {
-            name,
-            program,
-            scale,
-            ..
-        } => match out.state.accept(name, program, *scale) {
-            Ok((_, got)) => expect_same(out, k, rec, &got),
-            Err(e) => refused(out, &at(k), rec, &e.to_string()),
-        },
-        Record::Reject { id } => match out.state.reject(*id) {
-            Ok(got) => expect_same(out, k, rec, &got),
-            Err(e) => refused(out, &at(k), rec, &e.to_string()),
-        },
-        Record::Dispatch {
-            id,
-            machine,
-            device,
-            start_s,
-            predicted_s,
-            ..
-        } => {
-            // Mirror the live driver: the engine's poll clears the slot
-            // the previous occupant held before the dispatch transition
-            // runs (the occupant's own Done/Requeue record follows later
-            // in the journal).
-            out.state.vacate(*machine, *device);
-            match out
-                .state
-                .dispatch(*id, *machine, *device, *start_s, *predicted_s)
-            {
-                Ok(got) => expect_same(out, k, rec, &got),
-                Err(e) => refused(out, &at(k), rec, &e.to_string()),
-            }
-        }
-        Record::Done { id, end_s, .. } => match out.state.complete(*id, *end_s) {
-            Ok(got) => expect_same(out, k, rec, &got),
-            Err(e) => refused(out, &at(k), rec, &e.to_string()),
-        },
-        Record::Requeue {
-            id,
-            attempt,
-            backoff_s,
-            reason,
-        } => {
-            let outcome = RequeueOutcome::Retry {
-                attempt: *attempt,
-                backoff_s: *backoff_s,
-            };
-            match out.state.fail_with(*id, outcome, reason) {
-                Ok(fail) => expect_same(out, k, rec, &fail.record),
-                Err(e) => refused(out, &at(k), rec, &e.to_string()),
-            }
-        }
-        Record::Dead { id, reason } => {
-            let attempts = out.state.jobs().get(*id).map_or(1, |j| j.retries + 1);
-            match out
-                .state
-                .fail_with(*id, RequeueOutcome::DeadLetter { attempts }, reason)
-            {
-                Ok(fail) => expect_same(out, k, rec, &fail.record),
-                Err(e) => refused(out, &at(k), rec, &e.to_string()),
-            }
-        }
-        Record::Evict { machine, .. } => {
-            // The per-victim Requeue/Dead records follow in the journal;
-            // only the down-marking happens here.
-            match out.state.evict_only(*machine) {
-                Ok(()) => true,
-                Err(e) => refused(out, &at(k), rec, &e.to_string()),
-            }
-        }
-        Record::CapChange { cap_w } => {
-            out.cap_w = Some(*cap_w);
-            true
-        }
-        Record::ShutdownBegin => {
-            out.state.begin_shutdown();
-            true
-        }
+        Record::CapChange { cap_w } => out.cap_w = Some(*cap_w),
         Record::Snapshot {
             seq, fingerprint, ..
-        } => check_snapshot(out, records, k, *seq, *fingerprint, opts),
+        } => return check_snapshot(out, records, k, *seq, *fingerprint, opts),
+        _ => {}
     }
+    let Err(e) = out.state.apply(rec) else {
+        return true;
+    };
+    out.report
+        .push(Diagnostic::new(Code::Rpl003, format!("record {k}"), e));
+    false
 }
 
 /// Verify one `Snapshot` checkpoint against the re-executed state.
@@ -299,31 +212,6 @@ fn fold_snapshots(records: &[Record]) -> Result<ServiceState, Diagnostic> {
         }
     }
     Ok(st)
-}
-
-/// Record a transition that re-applied to something other than what the
-/// journal recorded. Always returns `false` (stop).
-fn expect_same(out: &mut ReplayOutcome, k: usize, want: &Record, got: &Record) -> bool {
-    if got == want {
-        return true;
-    }
-    out.report.push(Diagnostic::new(
-        Code::Rpl003,
-        format!("record {k}"),
-        format!("journal recorded {want:?} but re-applying produced {got:?}"),
-    ));
-    false
-}
-
-/// Record a transition the pure state machine refused outright. Always
-/// returns `false` (stop).
-fn refused(out: &mut ReplayOutcome, loc: &str, rec: &Record, err: &str) -> bool {
-    out.report.push(Diagnostic::new(
-        Code::Rpl003,
-        loc.to_string(),
-        format!("re-applying {rec:?} was refused: {err}"),
-    ));
-    false
 }
 
 /// Compare the replayed terminal fingerprint against an external
@@ -643,11 +531,11 @@ mod tests {
         // Build: run, then a Recovered boundary (as a restart writes),
         // then more work. Replay must restore across the boundary.
         let (mut t, _) = trajectory();
-        // Simulate what open_journal does on restart: replay, restore,
+        // Simulate what open_journal does on restart: fold, recover,
         // append Recovered (which marks every job, so the snapshot after
         // it is full), continue with a fresh incarnation.
-        let (recovered, _) = recover_replay(&t.recs);
-        let mut st = ServiceState::restore_from(&recovered, 2);
+        let mut st = ServiceState::fold(0, &t.recs).unwrap();
+        st.recover(2);
         t.push(Record::Recovered {
             jobs: st.jobs().len(),
             machines: 2,

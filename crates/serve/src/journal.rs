@@ -7,14 +7,15 @@
 //! (`sync_data`) before any reply that reports the change goes out (see
 //! [`crate::wal::Journal`] and `docs/FAULTS.md`). A daemon killed at
 //! any byte can therefore be restarted with `--recover`: [`scan_journal`]
-//! drops a torn final line (the kill landed mid-write) and [`replay`]
-//! folds the surviving prefix into one [`Disposition`] per job — done
-//! work stays done, in-flight work is re-queued, and nothing is
-//! double-dispatched.
+//! drops a torn final line (the kill landed mid-write), the surviving
+//! records are folded through the service transitions that wrote them
+//! (`ServiceState::apply`), and `ServiceState::recover` restarts the
+//! result — done work stays done, in-flight work is re-queued, and
+//! nothing is double-dispatched.
 //!
 //! This module is the journal's record vocabulary ([`Record`]) plus its
-//! causality and replay rules; the durable writer, the scan and the tail
-//! repair are the shared write-ahead log in [`crate::wal`].
+//! causality rule; the durable writer, the scan and the tail repair are
+//! the shared write-ahead log in [`crate::wal`].
 //!
 //! `snapshot` records are verification checkpoints, not a recovery
 //! source: recovery folds the other records. Each snapshot lists only
@@ -386,56 +387,6 @@ impl LineRecord for Record {
     }
 }
 
-/// What replay concluded about one job.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Disposition {
-    /// Accepted; never completed (queued or in-flight at the kill).
-    /// Recovery re-queues it.
-    Pending,
-    /// Refused at admission.
-    Rejected,
-    /// Completed; recovery must not re-dispatch it.
-    Done {
-        /// Hosting machine index.
-        machine: usize,
-        /// Device it ran on.
-        device: Device,
-        /// Dispatch time, simulated seconds.
-        start_s: f64,
-        /// Completion time, simulated seconds.
-        end_s: f64,
-        /// Model-predicted duration at dispatch, seconds.
-        predicted_s: f64,
-    },
-    /// Retries exhausted before the kill.
-    Dead {
-        /// Why the job was given up on.
-        reason: String,
-    },
-}
-
-/// One job reconstructed by [`replay`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveredJob {
-    /// Instance name (`program#k`).
-    pub name: String,
-    /// Program to rebuild the [`apu_sim::JobSpec`] from.
-    pub program: String,
-    /// Workload scale factor.
-    pub scale: f64,
-    /// Where the job stood at the last committed record.
-    pub disposition: Disposition,
-    /// Retry attempts already consumed (counted off `Requeue` records).
-    pub retries: u32,
-}
-
-/// The outcome of replaying a journal.
-#[derive(Debug, Clone, Default)]
-pub struct Recovered {
-    /// One entry per job id, dense in admission order.
-    pub jobs: Vec<RecoveredJob>,
-}
-
 /// Scan a journal under the shared write-ahead-log rule
 /// ([`wal::scan`], SRV007): a torn final line is a warning, earlier
 /// corruption, an unreadable file or a bad header an error. Records that
@@ -452,13 +403,12 @@ pub fn scan_journal(path: &Path) -> Scan<Record> {
 
 /// Check that a record sequence tells a causally possible story.
 ///
-/// [`replay`] is deliberately tolerant — it folds whatever records it is
-/// given and flags only local inconsistencies (SRV009). That tolerance
-/// would let a journal whose records are *individually* valid but out of
-/// order (a `done` before its `dispatch`, overlapping dispatches of one
-/// job, retry attempts that skip numbers) replay into a state the
-/// service never passed through. This pass enforces the ordering rules
-/// the live daemon's transitions guarantee:
+/// This is the input check ahead of the fold: a journal whose records
+/// are *individually* valid but out of order (a `done` before its
+/// `dispatch`, overlapping dispatches of one job, retry attempts that
+/// skip numbers) describes a state the service never passed through.
+/// This pass enforces the ordering rules the live daemon's transitions
+/// guarantee:
 ///
 /// * `done`, `requeue`, and `dead` each close a dispatch that is
 ///   actually open for that job, and `done` names the machine/device the
@@ -508,8 +458,8 @@ pub fn check_causality(records: &[Record]) -> Report {
                 }
             }
             Record::Accept { id, .. } => {
-                // Density is replay's concern (SRV009); only track the
-                // jobs that fit the dense sequence.
+                // Density is the fold's concern (SRV009); only track
+                // the jobs that fit the dense sequence.
                 if *id == jobs.len() {
                     jobs.push(Track {
                         open: None,
@@ -629,109 +579,10 @@ pub fn check_causality(records: &[Record]) -> Report {
     report
 }
 
-/// Fold a record sequence into per-job dispositions.
-///
-/// Inconsistencies (references to unknown ids, completions of already
-/// completed jobs) surface as SRV009 diagnostics; the offending record
-/// is skipped and replay continues, so one bad record cannot poison the
-/// rest of the journal.
-pub fn replay(records: &[Record]) -> (Recovered, Report) {
-    let mut report = Report::new();
-    let mut out = Recovered::default();
-    let mut bad = |rec: usize, msg: String| {
-        report.push(Diagnostic::new(
-            Code::Srv009,
-            format!("journal record {rec}"),
-            msg,
-        ));
-    };
-    for (k, rec) in records.iter().enumerate() {
-        match rec {
-            Record::Meta { .. }
-            | Record::Recovered { .. }
-            | Record::Evict { .. }
-            | Record::CapChange { .. }
-            | Record::ShutdownBegin
-            | Record::Snapshot { .. } => {}
-            Record::Accept {
-                id,
-                name,
-                program,
-                scale,
-            } => {
-                if *id != out.jobs.len() {
-                    bad(
-                        k,
-                        format!("accept of job {id} but {} jobs known", out.jobs.len()),
-                    );
-                    continue;
-                }
-                out.jobs.push(RecoveredJob {
-                    name: name.clone(),
-                    program: program.clone(),
-                    scale: *scale,
-                    disposition: Disposition::Pending,
-                    retries: 0,
-                });
-            }
-            Record::Reject { id } => match out.jobs.get_mut(*id) {
-                Some(j) => j.disposition = Disposition::Rejected,
-                None => bad(k, format!("reject of unknown job {id}")),
-            },
-            Record::Dispatch { id, .. } => match out.jobs.get(*id) {
-                // A dispatch without a matching done means the job was
-                // in-flight at the kill: it stays Pending and recovery
-                // re-queues it. A dispatch *after* a done is the
-                // double-dispatch the journal exists to prevent.
-                Some(j) if matches!(j.disposition, Disposition::Done { .. }) => {
-                    bad(k, format!("job {id} dispatched after completing"));
-                }
-                Some(_) => {}
-                None => bad(k, format!("dispatch of unknown job {id}")),
-            },
-            Record::Done {
-                id,
-                machine,
-                device,
-                start_s,
-                end_s,
-                predicted_s,
-            } => match out.jobs.get_mut(*id) {
-                Some(j) => {
-                    if matches!(j.disposition, Disposition::Done { .. }) {
-                        bad(k, format!("job {id} completed twice"));
-                    } else {
-                        j.disposition = Disposition::Done {
-                            machine: *machine,
-                            device: *device,
-                            start_s: *start_s,
-                            end_s: *end_s,
-                            predicted_s: *predicted_s,
-                        };
-                    }
-                }
-                None => bad(k, format!("completion of unknown job {id}")),
-            },
-            Record::Requeue { id, attempt, .. } => match out.jobs.get_mut(*id) {
-                Some(j) => j.retries = (*attempt).max(j.retries),
-                None => bad(k, format!("requeue of unknown job {id}")),
-            },
-            Record::Dead { id, reason } => match out.jobs.get_mut(*id) {
-                Some(j) => {
-                    j.disposition = Disposition::Dead {
-                        reason: reason.clone(),
-                    }
-                }
-                None => bad(k, format!("dead-letter of unknown job {id}")),
-            },
-        }
-    }
-    (out, report)
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::state::{JobState, ServiceState};
     use crate::wal::Journal;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -753,7 +604,7 @@ mod tests {
         Journal::create(path, &meta).unwrap()
     }
 
-    fn sample_records() -> Vec<Record> {
+    pub(crate) fn sample_records() -> Vec<Record> {
         vec![
             Record::Accept {
                 id: 0,
@@ -849,12 +700,12 @@ mod tests {
         let (records, report) = (scan.records, scan.report);
         assert!(report.is_empty(), "{}", report.render_human());
         assert_eq!(records.len(), 1 + sample_records().len());
-        let (rec, replay_report) = replay(&records);
-        assert!(replay_report.is_empty(), "{}", replay_report.render_human());
-        assert_eq!(rec.jobs.len(), 2);
-        assert!(matches!(rec.jobs[0].disposition, Disposition::Done { .. }));
-        assert_eq!(rec.jobs[1].disposition, Disposition::Pending);
-        assert_eq!(rec.jobs[1].retries, 1);
+        let mut st = ServiceState::fold(0, &records).unwrap();
+        st.recover(1);
+        assert_eq!(st.jobs().len(), 2);
+        assert!(matches!(st.jobs()[0].state, JobState::Done { .. }));
+        assert_eq!(st.jobs()[1].state, JobState::Queued);
+        assert_eq!(st.jobs()[1].retries, 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -873,8 +724,8 @@ mod tests {
         assert!(scan.report.has(Code::Srv007));
         assert!(!scan.report.has_errors(), "a torn tail is recoverable");
         assert_eq!(scan.records.len(), sample_records().len()); // meta + all but the torn one
-        let (rec, _) = replay(&scan.records);
-        assert_eq!(rec.jobs.len(), 2);
+        let st = ServiceState::fold(0, &scan.records).unwrap();
+        assert_eq!(st.jobs().len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
@@ -896,55 +747,57 @@ mod tests {
 
     #[test]
     fn replay_flags_inconsistencies_as_srv009() {
-        let records = vec![
-            Record::Meta {
+        // Each journal ends in a record the fold refuses; recovery reports
+        // it as an SRV009 error and abandons the journal
+        // (`chaos_recovery::fold_refusals_abandon_recovery`).
+        let accept = |id: usize| Record::Accept {
+            id,
+            name: format!("srad#{id}"),
+            program: "srad".into(),
+            scale: 0.2,
+        };
+        let dispatch = Record::Dispatch {
+            id: 0,
+            machine: 0,
+            device: Device::Gpu,
+            start_s: 0.0,
+            predicted_s: 1.0,
+            attempt: 0,
+        };
+        let done = Record::Done {
+            id: 0,
+            machine: 0,
+            device: Device::Gpu,
+            start_s: 0.0,
+            end_s: 1.0,
+            predicted_s: 1.0,
+        };
+        let requeue = Record::Requeue {
+            id: 7,
+            attempt: 1,
+            backoff_s: 0.1,
+            reason: "x".into(),
+        };
+        for (tail, why) in [
+            (vec![accept(0), accept(2)], "re-applying produced"),
+            (vec![accept(0), done.clone()], "not running"),
+            (vec![accept(0), dispatch, done.clone(), done], "not running"),
+            (vec![accept(0), requeue], "unknown job 7"),
+        ] {
+            let mut records = vec![Record::Meta {
                 version: JOURNAL_FORMAT_VERSION,
                 machines: 1,
-            },
-            Record::Accept {
-                id: 0,
-                name: "srad#0".into(),
-                program: "srad".into(),
-                scale: 0.2,
-            },
-            Record::Done {
-                id: 0,
-                machine: 0,
-                device: Device::Gpu,
-                start_s: 0.0,
-                end_s: 1.0,
-                predicted_s: 1.0,
-            },
-            // Duplicate completion and an unknown id: both SRV009.
-            Record::Done {
-                id: 0,
-                machine: 0,
-                device: Device::Gpu,
-                start_s: 0.0,
-                end_s: 2.0,
-                predicted_s: 1.0,
-            },
-            Record::Requeue {
-                id: 7,
-                attempt: 1,
-                backoff_s: 0.1,
-                reason: "x".into(),
-            },
-        ];
-        let (rec, report) = replay(&records);
-        assert_eq!(report.count(Code::Srv009), 2);
-        // The first completion wins.
-        match &rec.jobs[0].disposition {
-            Disposition::Done { end_s, .. } => assert_eq!(*end_s, 1.0),
-            other => panic!("expected done, got {other:?}"),
+            }];
+            records.extend(tail);
+            let (at, msg) = ServiceState::fold(0, &records).unwrap_err();
+            assert_eq!(at, records.len() - 1, "{msg}");
+            assert!(msg.contains(why), "{msg}");
         }
-        std::mem::drop(rec);
     }
 
     #[test]
     fn done_before_dispatch_abandons_the_journal() {
-        // Every record parses and replay would happily
-        // fold them, but the story is impossible — `done` precedes its
+        // Every record parses, but the story is impossible — `done` precedes its
         // `dispatch`. scan_journal must flag it at error severity so
         // recovery abandons the journal.
         let path = temp_path("causality");
@@ -1124,21 +977,31 @@ mod tests {
 
     #[test]
     fn every_prefix_replays_without_errors() {
-        // Replay must accept any record-boundary prefix: that is exactly
-        // the state a kill can leave behind.
+        // The fold must accept any record-boundary prefix: that is
+        // exactly the state a kill can leave behind.
         let mut records = vec![Record::Meta {
             version: JOURNAL_FORMAT_VERSION,
             machines: 2,
         }];
         records.extend(sample_records());
+        // Job 1 was requeued; its retry runs and is dead-lettered.
+        records.push(Record::Dispatch {
+            id: 1,
+            machine: 1,
+            device: Device::Cpu,
+            start_s: 4.0,
+            predicted_s: 2.0,
+            attempt: 1,
+        });
         records.push(Record::Dead {
             id: 1,
             reason: "retries exhausted".into(),
         });
+        assert!(check_causality(&records).is_empty());
         for cut in 1..=records.len() {
-            let (rec, report) = replay(&records[..cut]);
-            assert!(report.is_empty(), "prefix {cut}: {}", report.render_human());
-            assert!(rec.jobs.len() <= 2);
+            let st = ServiceState::fold(0, &records[..cut])
+                .unwrap_or_else(|(k, e)| panic!("prefix {cut}: record {k}: {e}"));
+            assert!(st.jobs().len() <= 2);
         }
     }
 }

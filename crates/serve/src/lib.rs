@@ -15,14 +15,16 @@
 //!   tail repair.
 //! - [`journal`] — the daemon journal's record vocabulary: every
 //!   admission, dispatch, completion, requeue, dead-letter, and eviction
-//!   is logged and committed before the reply that reports it, and
-//!   [`journal::replay`] reconstructs the exact job table a killed
-//!   daemon left behind.
+//!   is logged and committed before the reply that reports it.
 //! - [`state`] — the pure service state machine: admission, dispatch,
 //!   completion, retry/dead-letter, crash eviction, and recovery as
 //!   side-effect-free transition functions over [`ServiceState`], with
-//!   executable safety invariants. The `corun-mc` model checker
-//!   exhaustively explores exactly these functions (`docs/MODELCHECK.md`).
+//!   executable safety invariants. A journal is read back through the
+//!   same functions: [`ServiceState::apply`] re-applies each record and
+//!   [`ServiceState::recover`] restarts the result, so `--recover`,
+//!   `corun replay` and the `corun-mc` model checker fold a journal one
+//!   way. The model checker exhaustively explores exactly these
+//!   functions (`docs/MODELCHECK.md`).
 //! - [`snapshot`] — the [`ServiceState`] ⇄ JSON snapshot codec behind
 //!   the journal's periodic checkpoints; `corun replay` (the
 //!   `corun-replay` crate) verifies them bit-identically
@@ -54,10 +56,7 @@ pub mod state;
 pub mod wal;
 
 pub use client::{Client, RetryConfig};
-pub use journal::{
-    check_causality, replay, scan_journal, Disposition, Record, Recovered, RecoveredJob,
-    JOURNAL_FORMAT_VERSION,
-};
+pub use journal::{check_causality, scan_journal, Record, JOURNAL_FORMAT_VERSION};
 pub use json::Json;
 pub use protocol::{handle_request, PROTOCOL_VERSION};
 pub use ring::{MetricsPoint, MetricsRing, RING_CAPACITY};

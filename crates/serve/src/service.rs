@@ -38,7 +38,7 @@
 //! killed at any byte resumes via `recover` with no lost and no
 //! double-dispatched jobs.
 
-use crate::journal::{replay, scan_journal, Record, Recovered, JOURNAL_FORMAT_VERSION};
+use crate::journal::{scan_journal, Record, JOURNAL_FORMAT_VERSION};
 use crate::ring::{MetricsPoint, MetricsRing};
 use crate::snapshot::encode_state;
 use crate::state::{FailReport, ServiceState};
@@ -967,11 +967,14 @@ fn boot_nonce() -> u64 {
 }
 
 /// Set up the journal on `inner` per the config: recover-and-append when
-/// asked and possible, create-fresh otherwise. Any recovery problem is
-/// reported (SRV007/SRV009) and recovery abandoned wholesale — a partial
-/// replay could mis-align job ids, which is worse than starting clean.
-/// A journal that cannot be created, reopened or moved out of the way
-/// leaves the daemon in the fail-stop state.
+/// asked and possible, create-fresh otherwise. Recovery is scan (SRV007,
+/// SRV010) → fold every record through [`ServiceState::apply`] →
+/// [`ServiceState::recover`] → rebuild each job's spec. Any problem is
+/// reported as an error (a record the fold refuses is SRV009) and
+/// recovery abandoned wholesale — a partial fold could mis-align job
+/// ids, which is worse than starting clean. A journal that cannot be
+/// created, reopened or moved out of the way leaves the daemon in the
+/// fail-stop state.
 fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
     let Some(path) = &cfg.journal_path else {
         return;
@@ -979,24 +982,36 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
     if cfg.recover && path.exists() {
         let scan = scan_journal(path);
         let mut report = scan.report.clone();
-        let (recovered, replay_report) = replay(&scan.records);
-        report.merge(replay_report);
+        let mut st = ServiceState::new(cfg.machines);
+        if !report.has_errors() {
+            match ServiceState::fold(cfg.machines, &scan.records) {
+                Ok(folded) => {
+                    st = folded;
+                    st.recover(cfg.machines);
+                }
+                Err((k, why)) => report.push(Diagnostic::new(
+                    Code::Srv009,
+                    format!("journal record {k}"),
+                    format!("{why}; recovery abandoned"),
+                )),
+            }
+        }
         // Rebuild every JobSpec *before* touching the model so a failure
         // cannot leave it half-populated.
-        let mut specs: Vec<JobSpec> = Vec::with_capacity(recovered.jobs.len());
+        let mut specs: Vec<JobSpec> = Vec::with_capacity(st.jobs().len());
         let mut ok = !report.has_errors();
         if ok {
-            for (id, rj) in recovered.jobs.iter().enumerate() {
+            for (id, job) in st.jobs().iter().enumerate() {
                 let line = SpecLine {
-                    name: rj.program.clone(),
-                    scale: rj.scale,
+                    name: job.program.clone(),
+                    scale: job.scale,
                     count: 1,
                     line: 0,
                 };
                 match corun_verify::build_jobs(&cfg.machine, std::slice::from_ref(&line)) {
                     Ok(mut js) if js.len() == 1 => {
                         let mut spec = js.pop().expect("one job");
-                        spec.name = rj.name.clone();
+                        spec.name = job.name.clone();
                         specs.push(spec);
                     }
                     _ => {
@@ -1005,7 +1020,7 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
                             format!("job {id}"),
                             format!(
                                 "cannot rebuild `{}` from the journal; recovery abandoned",
-                                rj.program
+                                job.program
                             ),
                         ));
                         ok = false;
@@ -1050,7 +1065,7 @@ fn open_journal(cfg: &ServiceConfig, inner: &mut Inner) {
             inner.chaos_push(d);
         }
         if ok {
-            restore(inner, &recovered, specs, cfg.machines);
+            restore(inner, st, specs, cfg.machines);
             // The fencing epoch counts incarnations of this journal: 1
             // fresh, +1 per recovery (this one included).
             let past_recoveries = scan
@@ -1136,18 +1151,18 @@ fn set_aside(path: &Path) -> std::io::Result<Option<PathBuf>> {
     Ok(Some(kept))
 }
 
-/// Fold a successful replay into the fresh `Inner`: re-admit every job
-/// into the model and policy (preserving id alignment), rebuild the pure
-/// state via [`ServiceState::restore_from`], and transfer the simulation
-/// accounting of completed work.
-fn restore(inner: &mut Inner, recovered: &Recovered, specs: Vec<JobSpec>, machines: usize) {
+/// Install a recovered state in the fresh `Inner`: re-admit every job
+/// into the model and policy (preserving id alignment), take the
+/// recovered pure state, and transfer the simulation accounting of
+/// completed work.
+fn restore(inner: &mut Inner, recovered: ServiceState, specs: Vec<JobSpec>, machines: usize) {
     for (id, spec) in specs.iter().enumerate() {
         let model_id = inner.model.push_job(spec);
         debug_assert_eq!(model_id, id, "recovery must preserve job ids");
         let (model, policy) = inner.model_and_policy();
         policy.admit_job(model, id);
     }
-    inner.st = ServiceState::restore_from(recovered, machines);
+    inner.st = recovered;
     inner.gates = vec![None; inner.st.jobs().len()];
     // Keyed submissions use the job name as their idempotency key, so
     // the dedup index survives kill -9 by rebuilding from names. Plain

@@ -20,11 +20,17 @@
 //! daemon to its write-ahead journal, the model checker to its in-memory
 //! journal whose replay it cross-checks).
 //!
+//! The journal is read back through the same functions:
+//! [`ServiceState::apply`] re-applies one record and checks it yields
+//! exactly that record, and [`ServiceState::recover`] is the restart.
+//! `--recover`, `corun replay` and the model checker's kill all fold a
+//! journal this one way.
+//!
 //! [`ServiceState::check_invariants`] states the safety properties as
 //! executable checks; `docs/MODELCHECK.md` catalogs them and the MC0xx
 //! diagnostics they surface as.
 
-use crate::journal::{Disposition, Record, Recovered};
+use crate::journal::Record;
 use apu_sim::Device;
 use corun_core::{JobId, RequeueOutcome, RetryPolicy};
 use std::collections::VecDeque;
@@ -202,7 +208,7 @@ pub enum ViolationKind {
 }
 
 /// One invariant violation found by [`ServiceState::check_invariants`]
-/// or [`ServiceState::check_replay_consistency`].
+/// or by the model checker's replay check.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Which safety property is broken.
@@ -411,8 +417,9 @@ impl ServiceState {
     }
 
     /// Apply an already-decided failure outcome. [`ServiceState::fail`]
-    /// decides the outcome from the live [`RetryPolicy`]; `corun replay`
-    /// applies the outcome a `Requeue`/`Dead` journal record carries.
+    /// decides the outcome from the live [`RetryPolicy`];
+    /// [`ServiceState::apply`] applies the one a `Requeue`/`Dead` journal
+    /// record carries.
     /// Both paths share this one mutation so a replayed failure is
     /// bit-identical to the live one. `reason` is recorded verbatim.
     pub fn fail_with(
@@ -505,7 +512,7 @@ impl ServiceState {
     /// Mark a machine down without touching its jobs: the replay half of
     /// [`ServiceState::crash`]. The live daemon journals one `Evict`
     /// record followed by a `Requeue`/`Dead` record per victim, so
-    /// `corun replay` applies the down-marking here and lets the
+    /// [`ServiceState::apply`] does the down-marking here and lets the
     /// journaled per-victim records do the rest through
     /// [`ServiceState::fail_with`].
     pub fn evict_only(&mut self, machine: usize) -> Result<(), TransitionError> {
@@ -524,8 +531,8 @@ impl ServiceState {
     /// Clear a device slot the engine has vacated ahead of the harvest
     /// that will record why (completion or failure). The job itself is
     /// untouched; `complete`/`fail` tolerate an already-cleared slot.
-    /// Live-driver shim only — the model checker's atomic events never
-    /// need it.
+    /// The live driver and [`ServiceState::apply`]'s `dispatch` use it;
+    /// the model checker's atomic events never need it.
     pub fn vacate(&mut self, machine: usize, device: Device) {
         if let Some(m) = self.machines.get_mut(machine) {
             m.running[device.index()] = None;
@@ -586,62 +593,122 @@ impl ServiceState {
         out
     }
 
-    /// Rebuild the state a successful journal replay describes: done
-    /// work stays done, pending/in-flight work is re-queued, consumed
-    /// retries survive. Machines start fresh (the old incarnation's
-    /// crashes died with it).
-    pub fn restore_from(recovered: &Recovered, machines: usize) -> ServiceState {
-        let mut st = ServiceState::new(machines);
-        for rj in &recovered.jobs {
-            let id = st.jobs.len();
-            let (state, dispatches) = match &rj.disposition {
-                Disposition::Pending => (JobState::Queued, 0),
-                Disposition::Rejected => (JobState::Rejected, 0),
-                Disposition::Done {
-                    machine,
-                    device,
-                    start_s,
-                    end_s,
-                    predicted_s,
-                } => (
-                    JobState::Done {
-                        machine: *machine,
-                        device: *device,
-                        start_s: *start_s,
-                        end_s: *end_s,
-                        predicted_s: *predicted_s,
-                    },
-                    1,
-                ),
-                Disposition::Dead { reason } => (
-                    JobState::DeadLetter {
-                        reason: reason.clone(),
-                    },
-                    0,
-                ),
-            };
-            st.counters.accepted += 1;
-            match &state {
-                JobState::Queued => st.queue.push_back(id),
-                JobState::Rejected => st.counters.rejected += 1,
-                JobState::Done { .. } => {
-                    st.counters.dispatched += 1;
-                    st.counters.completed += 1;
-                }
-                JobState::DeadLetter { .. } => st.counters.dead_lettered += 1,
-                JobState::Running { .. } => unreachable!("replay never yields a running job"),
+    /// Re-apply one journal record through the transition that wrote it,
+    /// and check the transition yields exactly that record. `meta` resets
+    /// the state to the journal's shape, `recovered` is
+    /// [`ServiceState::recover`], and `cap` and `snapshot` change nothing
+    /// here. Pure; on `Err` the record may be half applied, so a fold
+    /// stops at the first refusal.
+    pub fn apply(&mut self, rec: &Record) -> Result<(), String> {
+        let got = match rec {
+            Record::Meta { machines, .. } => {
+                *self = ServiceState::new(*machines);
+                return Ok(());
             }
-            st.counters.requeued += rj.retries as usize;
-            st.push_job(JobCore {
-                name: rj.name.clone(),
-                program: rj.program.clone(),
-                scale: rj.scale,
-                state,
-                retries: rj.retries,
-                dispatches,
-            });
+            Record::Recovered { machines, .. } => {
+                self.recover(*machines);
+                Ok(Record::Recovered {
+                    jobs: self.jobs.len(),
+                    machines: *machines,
+                })
+            }
+            Record::Accept {
+                name,
+                program,
+                scale,
+                ..
+            } => self.accept(name, program, *scale).map(|(_, got)| got),
+            Record::Reject { id } => self.reject(*id),
+            Record::Dispatch {
+                id,
+                machine,
+                device,
+                start_s,
+                predicted_s,
+                ..
+            } => {
+                // Mirror the live driver: the engine's poll clears the
+                // slot the previous occupant held before the dispatch
+                // runs (the occupant's own record follows later).
+                self.vacate(*machine, *device);
+                self.dispatch(*id, *machine, *device, *start_s, *predicted_s)
+            }
+            Record::Done { id, end_s, .. } => self.complete(*id, *end_s),
+            Record::Requeue {
+                id,
+                attempt,
+                backoff_s,
+                reason,
+            } => {
+                let outcome = RequeueOutcome::Retry {
+                    attempt: *attempt,
+                    backoff_s: *backoff_s,
+                };
+                self.fail_with(*id, outcome, reason).map(|f| f.record)
+            }
+            Record::Dead { id, reason } => {
+                let attempts = self.jobs.get(*id).map_or(1, |j| j.retries + 1);
+                self.fail_with(*id, RequeueOutcome::DeadLetter { attempts }, reason)
+                    .map(|f| f.record)
+            }
+            // The per-victim `requeue`/`dead` records follow the `evict`.
+            Record::Evict { machine, .. } => self.evict_only(*machine).map(|()| rec.clone()),
+            Record::ShutdownBegin => {
+                self.begin_shutdown();
+                return Ok(());
+            }
+            Record::CapChange { .. } | Record::Snapshot { .. } => return Ok(()),
         }
-        st
+        .map_err(|e| format!("re-applying {rec:?} was refused: {e}"))?;
+        if got == *rec {
+            Ok(())
+        } else {
+            Err(format!(
+                "journal recorded {rec:?} but re-applying produced {got:?}"
+            ))
+        }
+    }
+
+    /// Fold `records` into a fresh state for `machines` machines through
+    /// [`ServiceState::apply`] (a leading `meta` record sets its own
+    /// machine count). On refusal, the index of the refused record and
+    /// why.
+    pub fn fold(machines: usize, records: &[Record]) -> Result<ServiceState, (usize, String)> {
+        let mut st = ServiceState::new(machines);
+        for (k, rec) in records.iter().enumerate() {
+            st.apply(rec).map_err(|e| (k, e))?;
+        }
+        Ok(st)
+    }
+
+    /// Restart from this state on `machines` fresh machines, as
+    /// `--recover` does after a kill: in-flight work goes back to the
+    /// queue, which is rebuilt in id order; done work stays done at one
+    /// dispatch and consumed retries survive; the counters are recounted
+    /// from the job table. The old incarnation's crashes, evictions and
+    /// shutdown die with it.
+    pub fn recover(&mut self, machines: usize) {
+        let jobs = std::mem::take(&mut self.jobs);
+        *self = ServiceState::new(machines);
+        for mut job in jobs {
+            job.dispatches = 0;
+            match job.state {
+                JobState::Queued | JobState::Running { .. } => {
+                    job.state = JobState::Queued;
+                    self.queue.push_back(self.jobs.len());
+                }
+                JobState::Rejected => self.counters.rejected += 1,
+                JobState::Done { .. } => {
+                    job.dispatches = 1;
+                    self.counters.dispatched += 1;
+                    self.counters.completed += 1;
+                }
+                JobState::DeadLetter { .. } => self.counters.dead_lettered += 1,
+            }
+            self.counters.accepted += 1;
+            self.counters.requeued += job.retries as usize;
+            self.push_job(job);
+        }
     }
 
     /// Check every structural safety invariant; an empty result means
@@ -816,69 +883,6 @@ impl ServiceState {
         out
     }
 
-    /// Check that journal replay reconstructs *this* state: same jobs,
-    /// matching dispositions and retry counts. In-flight work maps to
-    /// `Pending` (replay re-queues it).
-    pub fn check_replay_consistency(&self, recovered: &Recovered) -> Vec<Violation> {
-        let mut out = Vec::new();
-        let mut push = |detail: String| {
-            out.push(Violation {
-                kind: ViolationKind::ReplayMismatch,
-                detail,
-            });
-        };
-        if recovered.jobs.len() != self.jobs.len() {
-            push(format!(
-                "replay reconstructs {} job(s) but the state holds {}",
-                recovered.jobs.len(),
-                self.jobs.len()
-            ));
-            return out;
-        }
-        for (id, (job, rj)) in self.jobs.iter().zip(&recovered.jobs).enumerate() {
-            if rj.name != job.name || rj.program != job.program {
-                push(format!(
-                    "job {id} identity mismatch: state has {}/{}, replay has {}/{}",
-                    job.name, job.program, rj.name, rj.program
-                ));
-            }
-            if rj.retries != job.retries {
-                push(format!(
-                    "job {id} retries mismatch: state has {}, replay has {}",
-                    job.retries, rj.retries
-                ));
-            }
-            let ok = match (&job.state, &rj.disposition) {
-                (JobState::Queued, Disposition::Pending) => true,
-                (JobState::Running { .. }, Disposition::Pending) => true,
-                (JobState::Rejected, Disposition::Rejected) => true,
-                (
-                    JobState::Done {
-                        machine,
-                        device,
-                        end_s,
-                        ..
-                    },
-                    Disposition::Done {
-                        machine: rm,
-                        device: rd,
-                        end_s: re,
-                        ..
-                    },
-                ) => machine == rm && device == rd && end_s == re,
-                (JobState::DeadLetter { reason }, Disposition::Dead { reason: rr }) => reason == rr,
-                _ => false,
-            };
-            if !ok {
-                push(format!(
-                    "job {id} disposition mismatch: state has {:?}, replay has {:?}",
-                    job.state, rj.disposition
-                ));
-            }
-        }
-        out
-    }
-
     /// A 64-bit fingerprint of the whole state, for the model checker's
     /// visited-state memoization and the journal's snapshot checkpoints.
     /// It is FNV-1a over the job count, the running job digest (the
@@ -1013,7 +1017,6 @@ impl Fnv {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::replay;
 
     fn retry() -> RetryPolicy {
         RetryPolicy {
@@ -1028,13 +1031,10 @@ mod tests {
         assert!(v.is_empty(), "violations: {v:?}");
     }
 
-    /// Journal a transition's records and check replay agrees with the
-    /// state at the end.
+    /// Check the journaled records fold back to exactly the state.
     fn consistent(st: &ServiceState, records: &[Record]) {
-        let (recovered, report) = replay(records);
-        assert!(!report.has_errors(), "{}", report.render_human());
-        let v = st.check_replay_consistency(&recovered);
-        assert!(v.is_empty(), "replay mismatches: {v:?}");
+        let folded = ServiceState::fold(st.machines.len(), records).expect("the journal folds");
+        assert_eq!(&folded, st);
     }
 
     #[test]
@@ -1188,11 +1188,9 @@ mod tests {
         log.push(r.record);
         clean(&st);
 
-        let (recovered, report) = replay(&log);
-        assert!(report.is_empty(), "{}", report.render_human());
-        let restored = ServiceState::restore_from(&recovered, 2);
+        let mut restored = ServiceState::fold(2, &log).unwrap();
+        restored.recover(2);
         clean(&restored);
-        assert!(restored.check_replay_consistency(&recovered).is_empty());
         // The restored state agrees with the live one on every
         // journal-visible fact (machine slots are engine-side and reset).
         assert_eq!(restored.jobs.len(), st.jobs.len());
@@ -1203,6 +1201,33 @@ mod tests {
         assert_eq!(restored.counters.completed, st.counters.completed);
         assert_eq!(restored.counters.requeued, st.counters.requeued);
         assert_eq!(restored.counters.rejected, st.counters.rejected);
+        // Recovering is a fixed point, and the fold is exactly as good
+        // as recovering the live state.
+        let mut again = restored.clone();
+        again.recover(2);
+        assert_eq!(again, restored);
+        st.recover(2);
+        assert_eq!(st, restored);
+    }
+
+    #[test]
+    fn recover_requeues_in_flight_work_in_id_order() {
+        let mut st = ServiceState::new(2);
+        for k in 0..4 {
+            st.accept(&format!("srad#{k}"), "srad", 0.1).unwrap();
+        }
+        st.dispatch(3, 0, Device::Gpu, 0.0, 1.0).unwrap();
+        st.dispatch(1, 1, Device::Cpu, 0.0, 1.0).unwrap();
+        st.crash(1, 0.5, &retry(), "crash").unwrap();
+        st.begin_shutdown();
+        st.recover(3);
+        clean(&st);
+        assert_eq!(st.queue, [0, 1, 2, 3]);
+        assert_eq!(st.machines, vec![MachineCore::default(); 3]);
+        assert!(!st.shutdown);
+        assert_eq!(st.counters.evictions, 0);
+        assert_eq!(st.counters.dispatched, 0);
+        assert_eq!(st.jobs[1].retries, 1, "consumed retries survive");
     }
 
     #[test]
@@ -1276,7 +1301,7 @@ mod tests {
     /// Apply one random step to `st`, journaling its records to `log`
     /// and the ids it named to `touched`. Refused transitions are
     /// skipped, as a random walk proposes illegal moves. Step 6 is a
-    /// kill and restart (`restore_from` of the replayed journal); step 7
+    /// kill and restart (`recover` of the folded journal); step 7
     /// folds the records since the last fold into `folded` through
     /// `snapshot::apply_state`.
     fn walk_step(
@@ -1330,12 +1355,12 @@ mod tests {
                 }
             }
             6 => {
-                let (recovered, _) = replay(log);
+                *st = ServiceState::fold(WALK_MACHINES, log).expect("a walk's journal folds");
+                st.recover(WALK_MACHINES);
                 log.push(Record::Recovered {
-                    jobs: recovered.jobs.len(),
+                    jobs: st.jobs().len(),
                     machines: WALK_MACHINES,
                 });
-                *st = ServiceState::restore_from(&recovered, WALK_MACHINES);
                 touched.extend(0..st.jobs().len());
             }
             7 => {
@@ -1344,6 +1369,59 @@ mod tests {
                 assert_eq!(folded, st, "the folded snapshots drifted from the state");
             }
             _ => {}
+        }
+    }
+
+    /// A seeded walk with a crash, a restart and a job in flight at the
+    /// end: random accept/dispatch/complete/fail/reject steps with a
+    /// crash at step 12 and a kill at step 24, then one fresh job
+    /// accepted and dispatched to the first free slot.
+    fn seeded_walk(seed: u64) -> (ServiceState, Vec<Record>) {
+        let mut rng = corun_core::DetRng::new(seed);
+        let mut st = ServiceState::new(WALK_MACHINES);
+        let mut folded = ServiceState::new(0);
+        let (mut log, mut touched) = (Vec::new(), Vec::new());
+        let mut step =
+            |st: &mut ServiceState, step| walk_step(step, st, &mut folded, &mut log, &mut touched);
+        for k in 0..49 {
+            let mut draw = |n: u64| (rng.next_u64() % n) as usize;
+            let op = match k {
+                12 => 5,
+                24 => 6,
+                _ => draw(5),
+            };
+            step(&mut st, (op, draw(6), draw(4)));
+        }
+        step(&mut st, (0, 0, 0));
+        let id = st.jobs().len() - 1;
+        let (machine, device) = (0..WALK_MACHINES)
+            .flat_map(|m| Device::ALL.map(|d| (m, d)))
+            .find(|&(m, d)| !st.machines[m].down && st.machines[m].running[d.index()].is_none())
+            .expect("a free slot");
+        log.push(st.dispatch(id, machine, device, 9.0, 1.5).unwrap());
+        (st, log)
+    }
+
+    /// Recovery fingerprints taken from the disposition replay this fold
+    /// replaced: journals written before the change must keep recovering
+    /// to the same state.
+    #[test]
+    fn recovery_reproduces_pinned_fingerprints() {
+        let recovered = |machines, log: &[Record]| {
+            let mut st = ServiceState::fold(machines, log).expect("the journal folds");
+            st.recover(machines);
+            st.fingerprint()
+        };
+        let sample = crate::journal::tests::sample_records();
+        assert_eq!(recovered(1, &sample), 0x8965_2385_484b_d348);
+        for (seed, pin) in [
+            (1, 0x3fdc_71b7_9b89_517c),
+            (2, 0x8d00_c1dd_19df_2b69),
+            (5, 0xa760_8f79_6a29_8dec),
+        ] {
+            let (_, log) = seeded_walk(seed);
+            assert!(log.iter().any(|r| matches!(r, Record::Recovered { .. })));
+            assert_eq!(recovered(WALK_MACHINES, &log), pin, "seed {seed}");
         }
     }
 

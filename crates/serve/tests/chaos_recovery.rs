@@ -7,8 +7,10 @@
 //! kill between fsyncs) and at arbitrary bytes (a torn tail mid-write).
 
 use corun_core::RetryPolicy;
-use corun_serve::journal::{replay, scan_journal, Disposition};
-use corun_serve::{JobState, Record, Service, ServiceConfig, JOURNAL_FORMAT_VERSION};
+use corun_serve::journal::scan_journal;
+use corun_serve::{
+    JobState, LineRecord, Record, Service, ServiceConfig, ServiceState, JOURNAL_FORMAT_VERSION,
+};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,8 +62,7 @@ fn run_and_capture(path: &Path, spec: &str) -> Vec<u8> {
 fn recover_and_check(path: &Path) {
     // What does the truncated journal itself say?
     let scan = scan_journal(path);
-    let (expected, replay_report) = replay(&scan.records);
-    let wholesale_abandon = scan.report.has_errors() || replay_report.has_errors();
+    let wholesale_abandon = scan.report.has_errors();
 
     let before = std::fs::read(path).expect("journal bytes");
     let svc = Service::start(journaled_cfg(path, true));
@@ -80,14 +81,16 @@ fn recover_and_check(path: &Path) {
         }
         return;
     }
-    assert_eq!(svc.job_count(), expected.jobs.len(), "no job may be lost");
+    let expected = ServiceState::fold(0, &scan.records)
+        .unwrap_or_else(|(k, e)| panic!("a daemon-written prefix must fold: record {k}: {e}"));
+    assert_eq!(svc.job_count(), expected.jobs().len(), "no job may be lost");
     // Every journaled job must reach a terminal state after recovery; a
     // job already Done must keep its exact completion and stay at one
     // dispatch (zero double-dispatch).
-    for (id, rj) in expected.jobs.iter().enumerate() {
+    for (id, job) in expected.jobs().iter().enumerate() {
         let st = svc.wait_job(id).expect("recovered id");
-        match &rj.disposition {
-            Disposition::Done { end_s, .. } => {
+        match &job.state {
+            JobState::Done { end_s, .. } => {
                 match st.state {
                     JobState::Done {
                         end_s: recovered, ..
@@ -96,7 +99,7 @@ fn recover_and_check(path: &Path) {
                 }
                 assert_eq!(st.dispatches, 1, "job {id} was re-dispatched after Done");
             }
-            Disposition::Pending => {
+            JobState::Queued | JobState::Running { .. } => {
                 // In-flight or queued at the kill: must be re-run to Done.
                 assert!(
                     matches!(st.state, JobState::Done { .. }),
@@ -104,8 +107,8 @@ fn recover_and_check(path: &Path) {
                     st.state
                 );
             }
-            Disposition::Rejected => assert_eq!(st.state, JobState::Rejected),
-            Disposition::Dead { .. } => {
+            JobState::Rejected => assert_eq!(st.state, JobState::Rejected),
+            JobState::DeadLetter { .. } => {
                 assert!(matches!(st.state, JobState::DeadLetter { .. }));
             }
         }
@@ -259,15 +262,11 @@ fn faulted_run_journals_every_outcome() {
 
     let scan = scan_journal(&path);
     assert!(!scan.report.has_errors(), "{}", scan.report.render_human());
-    let (recovered, replay_report) = replay(&scan.records);
-    assert!(
-        !replay_report.has_errors(),
-        "{}",
-        replay_report.render_human()
-    );
-    assert_eq!(recovered.jobs.len(), 2);
-    for rj in &recovered.jobs {
-        assert!(matches!(rj.disposition, Disposition::Dead { .. }));
+    let folded = ServiceState::fold(0, &scan.records)
+        .unwrap_or_else(|(k, e)| panic!("journal record {k} does not fold: {e}"));
+    assert_eq!(folded.jobs().len(), 2);
+    for job in folded.jobs() {
+        assert!(matches!(job.state, JobState::DeadLetter { .. }));
     }
     // And the dead-letter verdicts survive a recovery restart.
     recover_and_check(&path);
@@ -356,4 +355,63 @@ fn a_refused_journal_is_kept_not_truncated() {
     ));
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(refused).ok();
+}
+
+#[test]
+fn fold_refusals_abandon_recovery() {
+    // Both journals pass the causality check, but the fold refuses a
+    // record: an accept whose id skips one, and a requeue of a job that
+    // was never accepted. Recovery must not go ahead with the jobs
+    // before the bad record; it abandons the journal with an SRV009
+    // error and keeps the bytes.
+    let meta = Record::Meta {
+        version: JOURNAL_FORMAT_VERSION,
+        machines: 1,
+    };
+    let accept = |id: usize| Record::Accept {
+        id,
+        name: format!("srad#{id}"),
+        program: "srad".into(),
+        scale: 0.05,
+    };
+    let requeue = Record::Requeue {
+        id: 5,
+        attempt: 1,
+        backoff_s: 0.1,
+        reason: "injected job failure".into(),
+    };
+    for (tag, records) in [
+        ("gap", vec![meta.clone(), accept(0), accept(2)]),
+        ("unknown", vec![meta.clone(), accept(0), requeue]),
+    ] {
+        let path = temp_journal(tag);
+        let bytes: String = records.iter().map(|r| r.to_json() + "\n").collect();
+        std::fs::write(&path, &bytes).expect("write journal");
+        assert!(!scan_journal(&path).report.has_errors(), "{tag}");
+
+        let svc = Service::start(journaled_cfg(&path, true));
+        assert_eq!(
+            svc.job_count(),
+            0,
+            "{tag}: a refused journal restores nothing"
+        );
+        let refused = refused_path(&path);
+        let diags = svc.chaos_report();
+        let srv009 = diags.diagnostics.iter().any(|d| {
+            d.code == corun_verify::Code::Srv009
+                && d.severity == corun_verify::Severity::Error
+                && d.location == "journal record 2"
+                && d.message.contains(&refused.display().to_string())
+        });
+        assert!(srv009, "{tag}: {}", diags.render_human());
+        svc.shutdown();
+        drop(svc);
+        assert_eq!(
+            std::fs::read_to_string(&refused).expect("refused journal"),
+            bytes,
+            "{tag}: the refused journal keeps its original bytes"
+        );
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(refused).ok();
+    }
 }

@@ -1,15 +1,15 @@
 //! Property tests for the crash journal: whatever sequence of
-//! transitions the daemon performs, the journal it writes must replay
-//! deterministically, idempotently across recovery boundaries, and back
-//! to exactly the in-memory state — and recovering twice must change
-//! nothing. These are the same invariants `corun mc` proves
+//! transitions the daemon performs, the journal it writes must fold
+//! (`ServiceState::fold`) deterministically, idempotently across
+//! recovery boundaries, and back to exactly the in-memory state — and
+//! recovering twice must change nothing. These are the same invariants `corun mc` proves
 //! exhaustively at small scope; here they are sampled over much longer
 //! random walks (more jobs, more crashes, more kills than the bounded
 //! scope allows), so the two approaches cover each other's blind spots.
 
 use apu_sim::Device;
 use corun_core::RetryPolicy;
-use corun_serve::journal::{check_causality, replay, Record};
+use corun_serve::journal::{check_causality, Record};
 use corun_serve::state::ServiceState;
 use proptest::prelude::*;
 
@@ -67,17 +67,30 @@ fn walk(steps: &[Step]) -> (ServiceState, Vec<Record>) {
             6 => {
                 // kill -9 + restart: recover purely from the journal,
                 // exactly as `serve --recover` does.
-                let (recovered, _) = replay(&journal);
+                st = recover(&journal);
                 journal.push(Record::Recovered {
-                    jobs: recovered.jobs.len(),
+                    jobs: st.jobs().len(),
                     machines: MACHINES,
                 });
-                st = ServiceState::restore_from(&recovered, MACHINES);
             }
             _ => {}
         }
     }
     (st, journal)
+}
+
+/// Fold a walk's journal (which has no `meta` header) onto `MACHINES`
+/// machines.
+fn fold(journal: &[Record]) -> ServiceState {
+    ServiceState::fold(MACHINES, journal)
+        .unwrap_or_else(|(k, e)| panic!("journal record {k} does not fold: {e}"))
+}
+
+/// What `serve --recover` restarts from: the fold, recovered.
+fn recover(journal: &[Record]) -> ServiceState {
+    let mut st = fold(journal);
+    st.recover(MACHINES);
+    st
 }
 
 fn steps() -> impl Strategy<Value = Vec<Step>> {
@@ -87,24 +100,22 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Replaying a journal twice yields the same dispositions as
-    /// replaying it once, and replaying past an appended recovery
-    /// boundary changes nothing: recovery can be retried forever.
+    /// Folding a journal twice yields the same state as folding it once,
+    /// and folding past an appended recovery boundary yields exactly the
+    /// recovered state: recovery can be retried forever.
     #[test]
     fn replay_is_idempotent(steps in steps()) {
         let (_, journal) = walk(&steps);
-        let (once, _) = replay(&journal);
-        let (twice, _) = replay(&journal);
-        prop_assert_eq!(&once.jobs, &twice.jobs, "replay is not deterministic");
+        prop_assert_eq!(fold(&journal), fold(&journal), "the fold is not deterministic");
 
+        let recovered = recover(&journal);
         let mut with_boundary = journal.clone();
         with_boundary.push(Record::Recovered {
-            jobs: once.jobs.len(),
+            jobs: recovered.jobs().len(),
             machines: MACHINES,
         });
-        let (again, _) = replay(&with_boundary);
-        prop_assert_eq!(&once.jobs, &again.jobs,
-            "replaying past a recovery boundary changed the dispositions");
+        prop_assert_eq!(fold(&with_boundary), recovered,
+            "folding past a recovery boundary is not the recovered state");
     }
 
     /// Recovering from a recovered state's journal is a no-op: the
@@ -112,35 +123,34 @@ proptest! {
     #[test]
     fn recover_after_recover_is_a_no_op(steps in steps()) {
         let (_, journal) = walk(&steps);
-        let (rec1, _) = replay(&journal);
-        let st1 = ServiceState::restore_from(&rec1, MACHINES);
+        let st1 = recover(&journal);
 
         let mut journal2 = journal.clone();
         journal2.push(Record::Recovered {
-            jobs: rec1.jobs.len(),
+            jobs: st1.jobs().len(),
             machines: MACHINES,
         });
-        let (rec2, _) = replay(&journal2);
-        let st2 = ServiceState::restore_from(&rec2, MACHINES);
+        let st2 = recover(&journal2);
 
-        prop_assert_eq!(&rec1.jobs, &rec2.jobs);
         prop_assert_eq!(st1.fingerprint(), st2.fingerprint(),
             "second recovery produced a different state");
+        prop_assert_eq!(st1, st2);
     }
 
-    /// Every journal a legal walk writes replays back to exactly the
-    /// in-memory state, passes the daemon's own invariant checks, and
-    /// is causally well-formed (SRV010 never fires on honest history).
+    /// Every journal a legal walk writes folds back to exactly the
+    /// in-memory state (equal fingerprints), passes the daemon's own
+    /// invariant checks, and is causally well-formed (SRV010 never
+    /// fires on honest history).
     #[test]
     fn walk_journals_replay_to_the_live_state(steps in steps()) {
         let (st, journal) = walk(&steps);
         prop_assert!(st.check_invariants().is_empty(),
             "walk reached an invariant-violating state: {:?}", st.check_invariants());
 
-        let (recovered, _) = replay(&journal);
-        let violations = st.check_replay_consistency(&recovered);
-        prop_assert!(violations.is_empty(),
-            "journal replay disagrees with the live state: {violations:?}");
+        let folded = fold(&journal);
+        prop_assert_eq!(folded.fingerprint(), st.fingerprint(),
+            "the journal folds to a state other than the live one");
+        prop_assert_eq!(folded, st);
 
         let causality = check_causality(&journal);
         prop_assert!(!causality.has_errors(),
@@ -149,8 +159,9 @@ proptest! {
     }
 
     /// Causality is prefix-closed: every prefix of an honest journal
-    /// (what a torn tail leaves behind) is itself honest, so SRV010
-    /// never blocks recovery from a crash mid-append.
+    /// (what a torn tail leaves behind) is itself honest and folds, so
+    /// neither SRV010 nor SRV009 blocks recovery from a crash
+    /// mid-append.
     #[test]
     fn causality_is_prefix_closed(steps in steps()) {
         let (_, journal) = walk(&steps);
@@ -158,6 +169,7 @@ proptest! {
             let causality = check_causality(&journal[..cut]);
             prop_assert!(!causality.has_errors(),
                 "prefix of {cut} record(s) flagged:\n{}", causality.render_human());
+            fold(&journal[..cut]);
         }
     }
 }

@@ -104,8 +104,9 @@ pub enum Code {
     Srv007,
     /// An oversized protocol frame was rejected.
     Srv008,
-    /// Journal replay hit an inconsistent record (unknown id, duplicate
-    /// completion, machine out of range) or could not rebuild a job.
+    /// Recovery's fold refused a journal record (an accept-id gap, an
+    /// unknown id, a duplicate completion) or could not rebuild a job;
+    /// the journal is abandoned.
     Srv009,
     /// Journal records are individually valid but causally out of order
     /// (e.g. `done` before `dispatch`); the journal is abandoned rather
@@ -328,15 +329,14 @@ impl Code {
             }
             // Injected/observed fault events are expected during chaos
             // runs; only malformed plans (SRV001), lost work (SRV006),
-            // and causally broken journals (SRV010, which must abandon
-            // recovery) are errors.
+            // and journals recovery must abandon (SRV009 records the
+            // fold refuses, SRV010 causally broken ones) are errors.
             Code::Srv002
             | Code::Srv003
             | Code::Srv004
             | Code::Srv005
             | Code::Srv007
-            | Code::Srv008
-            | Code::Srv009 => Severity::Warning,
+            | Code::Srv008 => Severity::Warning,
             // Incomplete exploration is a caveat, not a counterexample.
             Code::Mc0005 => Severity::Warning,
             // Sluggish steal/rebalance tuning degrades throughput but
@@ -385,7 +385,7 @@ impl Code {
             Code::Srv006 => "jobs that exhaust retries surface as dead-letter, never vanish",
             Code::Srv007 => "the service journal parses under its declared format version and keeps every acknowledged reply durable",
             Code::Srv008 => "protocol frames stay within the configured size bound",
-            Code::Srv009 => "journal replay reconstructs a consistent service state",
+            Code::Srv009 => "every journal record re-applies through the service transition that wrote it",
             Code::Srv010 => {
                 "journal records respect dispatch/completion causality and retry monotonicity"
             }
