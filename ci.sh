@@ -677,6 +677,12 @@ echo "== offline class cache: paper settings, shared cache vs none"
 timeout 600 cargo test --release -q -p runtime --lib \
     a_shared_class_cache_changes_no_outcome_at_paper_settings -- --ignored
 
+echo "== offline schedules: paper settings, pinned HCS and HCS+ digests"
+# rodinia16 seeds 1-10 at 10, 15 and 20 W under the paper's configuration:
+# every HCS and HCS+ schedule must hash to the digest pinned in the test.
+timeout 600 cargo test --release -q -p runtime --lib \
+    offline_schedules_match_their_pinned_digests_at_paper_settings -- --ignored
+
 echo "== perf gate: simulator throughput vs committed BENCH_sim.json"
 # Fails if simulated-seconds-per-wall-second regresses more than 30%
 # below the committed trajectory baseline.

@@ -13,6 +13,8 @@
 //! - [`DetRng`] — a seeded splitmix64 stream, the same finalizer used
 //!   by `RetryPolicy::backoff_s` and the fleet placement ring, so
 //!   every draw is a pure function of the seed.
+//! - [`jittered_backoff_s`] — the one capped exponential backoff every
+//!   retry loop computes, from a jitter unit its caller draws.
 //!
 //! The `SRV011` source lint (`corun lint --wall-clock`) enforces that
 //! `Instant::now`/`SystemTime::now`/`thread_rng` appear only on lines
@@ -139,6 +141,16 @@ impl DetRng {
     pub fn split(&mut self) -> DetRng {
         DetRng::new(self.next_u64())
     }
+}
+
+/// Capped exponential backoff with jitter: `base_s * 2^doublings`
+/// (`doublings` clamped at 20), raised to at least `floor_s`, stretched by
+/// `1 + unit / 2` for a jitter `unit` in `[0, 1)` the caller draws, and
+/// capped at `max_s`. The daemon's requeue backoff, the client's
+/// `queue_full` retry and the fleet's RPC reconnect all use it.
+pub fn jittered_backoff_s(base_s: f64, doublings: u32, floor_s: f64, unit: f64, max_s: f64) -> f64 {
+    let exp = (base_s * 2f64.powi(doublings.min(20) as i32)).max(floor_s);
+    (exp * (1.0 + 0.5 * unit)).min(max_s)
 }
 
 #[cfg(test)]

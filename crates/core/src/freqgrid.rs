@@ -91,13 +91,53 @@ pub fn best_level_against(
     cap_w: f64,
 ) -> Option<usize> {
     let k = model.levels(device);
-    (0..k).rev().find(|&f| {
-        let power = match device {
-            Device::Cpu => model.corun_power(Some((job, f)), Some((co_job, co_level))),
-            Device::Gpu => model.corun_power(Some((co_job, co_level)), Some((job, f))),
-        };
-        power <= cap_w
-    })
+    (0..k)
+        .rev()
+        .find(|&f| pair_power(model, job, device, f, co_job, co_level) <= cap_w)
+}
+
+/// The level HCS's Step 3 runs `job` at on `device` against a co-runner
+/// fixed at `(co_job, co_level)`: the cap-feasible level that "maximizes
+/// performance", i.e. minimizes the job's own co-run time
+/// `l(f) * (1 + d(f))`. Lowering the clock always lowers interference, so
+/// interference is not what picks the level. Levels are scanned upward
+/// and a higher one must be faster by more than 1e-12, so a near-tie keeps
+/// the lower clock. `None` if no level fits the cap.
+pub fn fastest_level_against(
+    model: &dyn CoRunModel,
+    job: JobId,
+    device: Device,
+    co_job: JobId,
+    co_level: usize,
+    cap_w: f64,
+) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for f in 0..model.levels(device) {
+        if pair_power(model, job, device, f, co_job, co_level) > cap_w {
+            continue;
+        }
+        let t = model.corun_time(job, device, f, co_job, co_level);
+        if best.is_none_or(|(_, bt)| t < bt - 1e-12) {
+            best = Some((f, t));
+        }
+    }
+    best.map(|(f, _)| f)
+}
+
+/// Package power with `job` at level `f` on `device` and the co-runner
+/// at `co_level` on the other device.
+fn pair_power(
+    model: &dyn CoRunModel,
+    job: JobId,
+    device: Device,
+    f: usize,
+    co_job: JobId,
+    co_level: usize,
+) -> f64 {
+    match device {
+        Device::Cpu => model.corun_power(Some((job, f)), Some((co_job, co_level))),
+        Device::Gpu => model.corun_power(Some((co_job, co_level)), Some((job, f))),
+    }
 }
 
 #[cfg(test)]

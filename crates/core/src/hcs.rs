@@ -9,15 +9,19 @@
 //!    non-preferred using the execution times at the highest cap-feasible
 //!    frequency and the threshold `D` (20% by default).
 //! 3. **Greedy scheduling**: seed the GPU with the longest GPU-preferred
-//!    job; then, whenever a device frees up, dispatch the candidate (taken
-//!    from that device's preferred set first, then non-preferred, then the
-//!    other-preferred set) with the least co-run interference against the
-//!    running job — the sum of the two degradation percentages, minimized
-//!    over cap-feasible frequency choices. `S_seq` jobs are appended as a
-//!    solo tail on their best device.
+//!    job; then, whenever a device frees up, [`pick_for_device`]
+//!    dispatches the candidate (taken from that device's preferred set
+//!    first, then non-preferred, then the other-preferred set) with the
+//!    least co-run interference against the running job — the sum of the
+//!    two degradation percentages, with the job at its fastest
+//!    cap-feasible level. The online policy makes the same decision.
+//!    `S_seq` jobs are appended as a solo tail on their best device.
 
-use crate::freqgrid::{best_solo_placement, best_solo_run, feasible_pair_settings};
+use crate::freqgrid::{
+    best_solo_placement, best_solo_run, fastest_level_against, feasible_pair_settings,
+};
 use crate::model::{CoRunModel, JobId};
+use crate::online::OnlinePick;
 use crate::schedule::{Assignment, Schedule, SoloRun};
 use crate::theorem::corun_beneficial;
 use apu_sim::Device;
@@ -256,15 +260,125 @@ pub fn categorize(model: &dyn CoRunModel, cfg: &HcsConfig, i: JobId) -> Preferen
     }
 }
 
-/// A dispatch decision: which set/position to take the job from, and at
-/// what level to run it.
-struct Pick {
-    set_idx: usize,
-    pos: usize,
-    level: usize,
+/// The per-device decision of Step 3, shared by the offline greedy and
+/// [`crate::OnlinePolicy::pick`]: what to start on the free `device`,
+/// given the candidates in `device`'s preference order (`tiers`: its own
+/// preferred set, the non-preferred set, the other device's preferred
+/// set) and the co-runner on the other device as `(job, level,
+/// remaining_s)`. `None` leaves the device idle.
+///
+/// The first tier with a cap-feasible candidate decides. Within it, only
+/// the first job of each [`CoRunModel::class`] is evaluated: later jobs
+/// of a class tie with it, and ties go to the earliest. With no
+/// co-runner the longest job is taken, at its best solo level. With one,
+/// the least co-run interference is taken, the sum of the two
+/// degradations, with the job at [`fastest_level_against`].
+///
+/// A job from the other device's preferred set is stolen only when
+/// running it here beats waiting for its preferred device: the pick is
+/// declined when its time here is at least the rest of that tier's time
+/// there plus `remaining_s` plus its own time there, all at the other
+/// device's top level.
+pub fn pick_for_device(
+    model: &dyn CoRunModel,
+    tiers: [&[JobId]; 3],
+    device: Device,
+    cap_w: f64,
+    co: Option<(JobId, usize, f64)>,
+) -> Option<OnlinePick> {
+    let mut seen: Vec<bool> = Vec::new();
+    for (tier, jobs) in tiers.into_iter().enumerate() {
+        let mut heads = Vec::new();
+        for &j in jobs {
+            let class = model.class(j);
+            if class >= seen.len() {
+                seen.resize(class + 1, false);
+            }
+            if !std::mem::replace(&mut seen[class], true) {
+                heads.push(j);
+            }
+        }
+        // (job, level, score): the lowest score wins, the earliest on ties.
+        let mut best: Option<(JobId, usize, f64)> = None;
+        for &j in &heads {
+            let scored = match co {
+                // Longest first: score the negated solo time.
+                None => best_solo_run(model, j, device, cap_w).map(|(f, t)| (f, -t)),
+                Some((co_job, co_level, _)) => {
+                    fastest_level_against(model, j, device, co_job, co_level, cap_w).map(|f| {
+                        let d_own = model.degradation(j, device, f, co_job, co_level);
+                        let d_co = model.degradation(co_job, device.other(), co_level, j, f);
+                        (f, d_own + d_co)
+                    })
+                }
+            };
+            let Some((level, score)) = scored else {
+                continue;
+            };
+            if best.is_none_or(|(_, _, bs)| score < bs) {
+                best = Some((j, level, score));
+            }
+        }
+        let Some((job, level, _)) = best else {
+            continue;
+        };
+        if tier == 2 {
+            let other = device.other();
+            let top = model.levels(other) - 1;
+            let t_here = model.standalone(job, device, level);
+            let t_there = model.standalone(job, other, top);
+            // Each class's time there, evaluated once, summed per job in
+            // tier order.
+            let mut there = vec![0.0; seen.len()];
+            for &h in &heads {
+                there[model.class(h)] = model.standalone(h, other, top);
+            }
+            let backlog: f64 = (jobs.iter())
+                .filter(|&&y| y != job)
+                .map(|&y| there[model.class(y)])
+                .sum();
+            let remaining_s = co.map_or(0.0, |(_, _, r)| r);
+            if t_here >= backlog + remaining_s + t_there {
+                return None;
+            }
+        }
+        return Some(OnlinePick { job, level });
+    }
+    None
 }
 
-/// Step 3 proper.
+/// `sets` (CPU-preferred, non-preferred, GPU-preferred) as `device`'s
+/// tiers: its own preferred set, the non-preferred set, the other's.
+fn tiers(sets: &[Vec<JobId>; 3], device: Device) -> [&[JobId]; 3] {
+    let [cpu, non, gpu] = sets.each_ref().map(Vec::as_slice);
+    match device {
+        Device::Cpu => [cpu, non, gpu],
+        Device::Gpu => [gpu, non, cpu],
+    }
+}
+
+/// The running job per device: `(job, level, remaining standalone s)`.
+type Running = [Option<(JobId, usize, f64)>; 2];
+
+/// Take `pick` out of `sets` and start it on `device`.
+fn start(
+    model: &dyn CoRunModel,
+    sets: &mut [Vec<JobId>; 3],
+    running: &mut Running,
+    schedule: &mut Schedule,
+    device: Device,
+    pick: OnlinePick,
+) {
+    let OnlinePick { job, level } = pick;
+    for set in sets.iter_mut() {
+        set.retain(|&j| j != job);
+    }
+    running[device.index()] = Some((job, level, model.standalone(job, device, level)));
+    schedule.queue_mut(device).push(Assignment { job, level });
+}
+
+/// Step 3 proper: the model-time event loop around [`pick_for_device`],
+/// plus the batch-only seeding and the `S_seq` solo tail.
 fn greedy(
     model: &dyn CoRunModel,
     cfg: &HcsConfig,
@@ -274,66 +388,52 @@ fn greedy(
     s_seq: &[JobId],
 ) -> Schedule {
     let mut schedule = Schedule::new();
-    let mut sets = [cpu_pref, non_pref, gpu_pref]; // indices 0,1,2
-                                                   // preference order per device (indices into `sets`)
-    let order_cpu = [0usize, 1, 2];
-    let order_gpu = [2usize, 1, 0];
+    let mut sets = [cpu_pref, non_pref, gpu_pref];
+    let mut running: Running = [None, None];
+    let mut seq_fallback: Vec<JobId> = Vec::new();
 
-    // running job per device: (job, level, remaining standalone seconds)
-    let mut running: [Option<(JobId, usize, f64)>; 2] = [None, None];
-    let seq_fallback: &mut Vec<JobId> = &mut Vec::new();
-
-    // Seed the GPU with the longest GPU-preferred job (falling back through
-    // the preference order if that set is empty).
-    if let Some(pick) = pick_longest(model, cfg, &sets, &order_gpu, Device::Gpu) {
-        let job = take(&mut sets, pick.set_idx, pick.pos);
-        running[Device::Gpu.index()] = Some((
-            job,
-            pick.level,
-            model.standalone(job, Device::Gpu, pick.level),
-        ));
-        schedule.gpu.push(Assignment {
-            job,
-            level: pick.level,
-        });
-    }
-
-    // Fill the CPU with the least-interference candidate, choosing the pair
-    // setting jointly (this may re-level the seeded GPU job before any time
-    // has elapsed).
-    if let Some((gjob, glevel, _)) = running[Device::Gpu.index()] {
-        if let Some((pick, best_g)) =
-            pick_least_interference_joint(model, cfg, &sets, &order_cpu, gjob)
-        {
-            let job = take(&mut sets, pick.set_idx, pick.pos);
-            running[Device::Cpu.index()] = Some((
-                job,
-                pick.level,
-                model.standalone(job, Device::Cpu, pick.level),
-            ));
-            schedule.cpu.push(Assignment {
-                job,
-                level: pick.level,
-            });
-            if best_g != glevel {
-                let r = running[Device::Gpu.index()].as_mut().expect("gpu running");
-                r.1 = best_g;
-                r.2 = model.standalone(gjob, Device::Gpu, best_g);
-                schedule.gpu.last_mut().expect("gpu seeded").level = best_g;
-            }
+    // Seeding takes the longest job in preference order, with no steal
+    // guard: the other device's preferred set is a tier of its own.
+    let seed = |sets: &[Vec<JobId>; 3], device: Device| {
+        let [own, non, other] = tiers(sets, device);
+        pick_for_device(model, [own, non, &[]], device, cfg.cap_w, None)
+            .or_else(|| pick_for_device(model, [other, &[], &[]], device, cfg.cap_w, None))
+    };
+    if let Some(gpu) = seed(&sets, Device::Gpu) {
+        start(
+            model,
+            &mut sets,
+            &mut running,
+            &mut schedule,
+            Device::Gpu,
+            gpu,
+        );
+        // Fill the CPU with the least-interference candidate, choosing the
+        // pair's levels jointly: this re-levels the seeded job before any
+        // time has elapsed.
+        if let Some((cpu, g)) = pick_least_interference_joint(model, cfg, &sets, gpu.job) {
+            start(
+                model,
+                &mut sets,
+                &mut running,
+                &mut schedule,
+                Device::Cpu,
+                cpu,
+            );
+            schedule.gpu[0].level = g;
+            running[Device::Gpu.index()] =
+                Some((gpu.job, g, model.standalone(gpu.job, Device::Gpu, g)));
         }
-    } else if let Some(pick) = pick_longest(model, cfg, &sets, &order_cpu, Device::Cpu) {
+    } else if let Some(cpu) = seed(&sets, Device::Cpu) {
         // No GPU candidate at all: seed the CPU instead.
-        let job = take(&mut sets, pick.set_idx, pick.pos);
-        running[Device::Cpu.index()] = Some((
-            job,
-            pick.level,
-            model.standalone(job, Device::Cpu, pick.level),
-        ));
-        schedule.cpu.push(Assignment {
-            job,
-            level: pick.level,
-        });
+        start(
+            model,
+            &mut sets,
+            &mut running,
+            &mut schedule,
+            Device::Cpu,
+            cpu,
+        );
     }
 
     // Event loop: advance to the next completion, refill the freed device.
@@ -358,81 +458,26 @@ fn greedy(
         }
 
         // Refill free devices in two passes: first from each device's own
-        // preferred (and non-preferred) sets, then — only if still free —
-        // from the other device's preferred set, and only when the steal is
-        // profitable (running the job here must beat waiting for its
-        // preferred device behind that device's remaining backlog).
+        // preferred and the non-preferred sets, then, only if still free,
+        // with the other device's preferred set too.
         for own_only in [true, false] {
             for device in Device::ALL {
                 if running[device.index()].is_some() {
                     continue;
                 }
-                let order = match device {
-                    Device::Cpu => &order_cpu,
-                    Device::Gpu => &order_gpu,
-                };
-                let restricted: [usize; 3] = if own_only {
-                    // own preferred set + non-preferred only (sentinel 9
-                    // skips the other-preferred set)
-                    [order[0], order[1], usize::MAX]
-                } else {
-                    *order
-                };
+                let [own, non, other] = tiers(&sets, device);
+                let other = if own_only { &[] } else { other };
                 let co = running[device.other().index()];
-                let picked = match co {
-                    Some((co_job, co_level, _)) => pick_least_interference(
-                        model,
-                        cfg,
-                        &sets,
-                        &restricted,
-                        device,
-                        co_job,
-                        co_level,
-                    ),
-                    None => pick_longest(model, cfg, &sets, &restricted, device),
-                };
-                let Some(pick) = picked else { continue };
-                // Steal check: a pick from the other device's preferred set
-                // must be profitable versus waiting.
-                if pick.set_idx == order[2] {
-                    let t_here = model.standalone(sets[pick.set_idx][pick.pos], device, pick.level);
-                    let job = sets[pick.set_idx][pick.pos];
-                    let other = device.other();
-                    let ko = model.levels(other) - 1;
-                    let t_there = model.standalone(job, other, ko);
-                    // Backlog ahead of the job on its preferred device: the
-                    // rest of that device's preferred set plus the running
-                    // job's remaining time.
-                    let mut backlog: f64 = sets[order[2]]
-                        .iter()
-                        .filter(|&&y| y != job)
-                        .map(|&y| model.standalone(y, other, ko))
-                        .sum();
-                    if let Some((_, _, rem)) = running[other.index()] {
-                        backlog += rem;
-                    }
-                    if t_here >= backlog + t_there {
-                        continue; // let it wait for its preferred device
-                    }
+                if let Some(pick) = pick_for_device(model, [own, non, other], device, cfg.cap_w, co)
+                {
+                    start(model, &mut sets, &mut running, &mut schedule, device, pick);
                 }
-                let job = take(&mut sets, pick.set_idx, pick.pos);
-                running[device.index()] =
-                    Some((job, pick.level, model.standalone(job, device, pick.level)));
-                schedule.queue_mut(device).push(Assignment {
-                    job,
-                    level: pick.level,
-                });
             }
         }
 
-        if running.iter().all(std::option::Option::is_none)
-            && sets.iter().all(std::vec::Vec::is_empty)
-        {
-            break;
-        }
-        if running.iter().all(std::option::Option::is_none) {
-            // Candidates remain but none could be dispatched (no feasible
-            // level even alone): push them to the solo fallback.
+        if running.iter().all(Option::is_none) {
+            // Candidates left that none could be dispatched (no feasible
+            // level even alone) go to the solo fallback.
             for set in &mut sets {
                 seq_fallback.append(set);
             }
@@ -464,116 +509,20 @@ fn greedy(
     schedule
 }
 
-fn take(sets: &mut [Vec<JobId>; 3], set_idx: usize, pos: usize) -> JobId {
-    sets[set_idx].remove(pos)
-}
-
-/// First non-empty set in preference order; pick its longest job (by time
-/// at the best cap-feasible solo level on `device`).
-fn pick_longest(
-    model: &dyn CoRunModel,
-    cfg: &HcsConfig,
-    sets: &[Vec<JobId>; 3],
-    order: &[usize; 3],
-    device: Device,
-) -> Option<Pick> {
-    for &si in order {
-        if si >= sets.len() || sets[si].is_empty() {
-            continue;
-        }
-        let mut best: Option<(usize, usize, f64)> = None; // (pos, level, time)
-        for (pos, &job) in sets[si].iter().enumerate() {
-            let Some((level, t)) = best_solo_run(model, job, device, cfg.cap_w) else {
-                continue;
-            };
-            if best.is_none_or(|(_, _, bt)| t > bt) {
-                best = Some((pos, level, t));
-            }
-        }
-        if let Some((pos, level, _)) = best {
-            return Some(Pick {
-                set_idx: si,
-                pos,
-                level,
-            });
-        }
-    }
-    None
-}
-
-/// First non-empty set in preference order; pick the job minimizing the sum
-/// of co-run degradations against the fixed co-runner (the paper's "least
-/// co-run interference" criterion). The job's own frequency level is chosen
-/// among cap-feasible ones to *maximize its performance* — minimize its
-/// predicted co-run time `l(f) * (1 + d(f))` — since lowering the clock
-/// always lowers interference but defeats the purpose.
-fn pick_least_interference(
-    model: &dyn CoRunModel,
-    cfg: &HcsConfig,
-    sets: &[Vec<JobId>; 3],
-    order: &[usize; 3],
-    device: Device,
-    co_job: JobId,
-    co_level: usize,
-) -> Option<Pick> {
-    for &si in order {
-        if si >= sets.len() || sets[si].is_empty() {
-            continue;
-        }
-        let mut best: Option<(usize, usize, f64)> = None; // (pos, level, deg sum)
-        for (pos, &job) in sets[si].iter().enumerate() {
-            let k = model.levels(device);
-            let mut local: Option<(usize, f64, f64)> = None; // (level, corun time, deg sum)
-            for f in 0..k {
-                let power = match device {
-                    Device::Cpu => model.corun_power(Some((job, f)), Some((co_job, co_level))),
-                    Device::Gpu => model.corun_power(Some((co_job, co_level)), Some((job, f))),
-                };
-                if power > cfg.cap_w {
-                    continue;
-                }
-                let d_own = model.degradation(job, device, f, co_job, co_level);
-                let d_co = model.degradation(co_job, device.other(), co_level, job, f);
-                let t_own = model.standalone(job, device, f) * (1.0 + d_own);
-                if local.is_none_or(|(_, bt, _)| t_own < bt - 1e-12) {
-                    local = Some((f, t_own, d_own + d_co));
-                }
-            }
-            if let Some((f, _, sum)) = local {
-                if best.is_none_or(|(_, _, bs)| sum < bs) {
-                    best = Some((pos, f, sum));
-                }
-            }
-        }
-        if let Some((pos, level, _)) = best {
-            return Some(Pick {
-                set_idx: si,
-                pos,
-                level,
-            });
-        }
-    }
-    None
-}
-
-/// Like [`pick_least_interference`] for the *first* CPU dispatch, where the
-/// GPU co-runner's level is still free: jointly traverse the feasible
-/// `(f, g)` grid. Returns the pick plus the best GPU level.
+/// The first CPU dispatch, where the seeded GPU job's level is still
+/// free: per candidate in the CPU's tier order, jointly traverse the
+/// feasible `(f, g)` grid for the levels minimizing the pair's
+/// conservative makespan, then rank candidates by interference as
+/// [`pick_for_device`] does. Returns the pick plus the GPU level.
 fn pick_least_interference_joint(
     model: &dyn CoRunModel,
     cfg: &HcsConfig,
     sets: &[Vec<JobId>; 3],
-    order: &[usize; 3],
     gpu_job: JobId,
-) -> Option<(Pick, usize)> {
-    for &si in order {
-        if si >= sets.len() || sets[si].is_empty() {
-            continue;
-        }
-        // Per candidate: levels minimizing the pair's conservative makespan
-        // (max of the two co-run times); candidates ranked by interference.
-        let mut best: Option<(usize, usize, usize, f64)> = None; // (pos, f, g, deg sum)
-        for (pos, &job) in sets[si].iter().enumerate() {
+) -> Option<(OnlinePick, usize)> {
+    for candidates in tiers(sets, Device::Cpu) {
+        let mut best: Option<(JobId, usize, usize, f64)> = None; // (job, f, g, deg sum)
+        for &job in candidates {
             let mut local: Option<(usize, usize, f64, f64)> = None; // (f, g, span, sum)
             for (f, g) in feasible_pair_settings(model, job, gpu_job, cfg.cap_w) {
                 let d_c = model.degradation(job, Device::Cpu, f, gpu_job, g);
@@ -587,19 +536,12 @@ fn pick_least_interference_joint(
             }
             if let Some((f, g, _, sum)) = local {
                 if best.is_none_or(|(_, _, _, bs)| sum < bs) {
-                    best = Some((pos, f, g, sum));
+                    best = Some((job, f, g, sum));
                 }
             }
         }
-        if let Some((pos, f, g, _)) = best {
-            return Some((
-                Pick {
-                    set_idx: si,
-                    pos,
-                    level: f,
-                },
-                g,
-            ));
+        if let Some((job, level, g, _)) = best {
+            return Some((OnlinePick { job, level }, g));
         }
     }
     None
@@ -611,6 +553,7 @@ mod tests {
     use crate::evaluate::evaluate;
     use crate::model::test_model::synthetic;
     use crate::model::TableModel;
+    use crate::refine::RefineConfig;
 
     #[test]
     fn empty_batch() {
@@ -738,6 +681,41 @@ mod tests {
         assert!(
             tight >= loose * 0.98,
             "tight cap {tight} should not beat loose cap {loose}"
+        );
+    }
+
+    /// FNV-1a over a schedule's rendering: each queue's `(job, level)`
+    /// in order, then the solo tail.
+    fn digest(schedule: &Schedule) -> u64 {
+        (schedule.to_string().bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// HCS and HCS+ on synthetic batches of 8 and 12 jobs at 11, 16 and
+    /// 25 W must reproduce the schedules pinned here; a change that moves
+    /// one must re-pin it on purpose.
+    #[test]
+    fn schedules_match_their_pinned_digests() {
+        let mut got = Vec::new();
+        for n in [8, 12] {
+            let m = synthetic(n, 6, 5);
+            for cap in [11.0, 16.0, 25.0] {
+                let out = hcs(&m, &HcsConfig::with_cap(cap));
+                let plus = crate::refine::refine(&m, &out.schedule, &RefineConfig::new(cap));
+                got.push((digest(&out.schedule), digest(&plus.schedule)));
+            }
+        }
+        assert_eq!(
+            got,
+            [
+                (0xd0d235f42bdec563, 0x1ad73f6bfea6af5c),
+                (0x5a5ab9d78a72a949, 0x9088fb75b230d909),
+                (0x97986c6d07a43268, 0xe2c4919c90dd4bd5),
+                (0x653098a8d7d85a10, 0x3ab605b13a883cfd),
+                (0x33376ccf018a9903, 0xab85f332a82f24b6),
+                (0xc62dc716c66b1dd6, 0xc121d2aae4183278),
+            ]
         );
     }
 

@@ -21,7 +21,6 @@
 //! * [`budget`] — cluster-wide power-budget partitioning across shards;
 //! * [`anneal`] — simulated-annealing schedule search;
 //! * [`online`] — arrival-driven online policy and model-level replay;
-//! * [`chains`] — long-job / short-job-sequence arithmetic and solver;
 //! * [`objective`] — energy and energy-delay-product objectives;
 //! * [`fairness`] — per-job slowdown and Jain-index metrics.
 
@@ -31,7 +30,6 @@ pub mod bnb;
 pub mod bound;
 pub mod budget;
 pub mod certificate;
-pub mod chains;
 pub mod clock;
 pub mod evaluate;
 pub mod exhaustive;
@@ -54,15 +52,15 @@ pub use certificate::{
     certify, parse_certificate, BoundWitness, Certificate, PairWitness, ParsedCertificate,
     SegmentWitness, CERT_FORMAT_VERSION,
 };
-pub use chains::{best_sequence, chain_completion, ChainOutcome};
-pub use clock::{Clock, DetRng, ManualClock, WallClock};
+pub use clock::{jittered_backoff_s, Clock, DetRng, ManualClock, WallClock};
 pub use evaluate::{evaluate, EvalReport, Segment};
 pub use exhaustive::{exhaustive_uniform, exhaustive_uniform_opts, ExhaustiveResult};
 pub use fairness::{fairness, FairnessReport};
 pub use freqgrid::{
-    best_level_against, best_solo_level, best_solo_placement, best_solo_run, feasible_pair_settings,
+    best_level_against, best_solo_level, best_solo_placement, best_solo_run, fastest_level_against,
+    feasible_pair_settings,
 };
-pub use hcs::{categorize, hcs, partition, HcsConfig, HcsOutcome, Preference};
+pub use hcs::{categorize, hcs, partition, pick_for_device, HcsConfig, HcsOutcome, Preference};
 pub use model::{CoRunModel, JobId, TableModel};
 pub use objective::{edp_js, energy_j, objective_value, Objective};
 pub use online::{

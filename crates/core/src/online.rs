@@ -2,20 +2,23 @@
 //! paper's introduction motivates (shared servers and data centers receive
 //! jobs over time) but evaluates only in batch form.
 //!
-//! [`OnlinePolicy`] makes HCS-style decisions one dispatch at a time: given
+//! [`OnlinePolicy`] makes HCS's decisions one dispatch at a time: given
 //! the set of *ready* jobs, a free device and the co-runner currently on
-//! the other device, it picks the job and frequency level the batch
-//! heuristic would have picked — preference order first, least predicted
-//! interference second, best cap-feasible performance for the level, and
-//! the same steal-profitability guard against hijacking a job that should
-//! wait for its preferred device.
+//! the other device, [`OnlinePolicy::pick`] calls the batch greedy's own
+//! per-device decision, [`crate::hcs::pick_for_device`]. One rule serves
+//! both: preference tier first, then the longest job on an idle machine
+//! or the least predicted interference against a co-runner, with the job
+//! at its fastest cap-feasible level, and a steal from the other device's
+//! preferred set only when it beats waiting for that device. Online, the
+//! co-runner's remaining time counts as 0 in that guard: the callers do
+//! not track its progress.
 //!
 //! [`evaluate_online`] replays an arrival trace against the model (the
 //! online analogue of [`crate::evaluate::evaluate`]); the `runtime` crate
 //! drives the same policy against the simulator for ground truth.
 
-use crate::freqgrid::{best_level_against, best_solo_run};
-use crate::hcs::{categorize, HcsConfig, Preference};
+use crate::clock::jittered_backoff_s;
+use crate::hcs::{categorize, pick_for_device, HcsConfig, Preference};
 use crate::model::{CoRunModel, JobId};
 use apu_sim::Device;
 use serde::{Deserialize, Serialize};
@@ -55,9 +58,9 @@ impl RetryPolicy {
     /// Backoff before retry attempt `n` (1-based): exponential with a
     /// deterministic per-(job, attempt) jitter in `[1.0, 1.5)`, capped.
     pub fn backoff_s(&self, job: JobId, attempt: u32) -> f64 {
-        let exp = self.backoff_base_s * 2f64.powi(attempt.saturating_sub(1).min(20) as i32);
-        let jitter = 1.0 + 0.5 * hash_unit(job as u64, attempt as u64);
-        (exp * jitter).min(self.backoff_max_s)
+        let unit = hash_unit(job as u64, attempt as u64);
+        let (base, max) = (self.backoff_base_s, self.backoff_max_s);
+        jittered_backoff_s(base, attempt.saturating_sub(1), 0.0, unit, max)
     }
 }
 
@@ -274,8 +277,12 @@ impl OnlinePolicy {
     }
 
     /// Decide what to run on `device` given the ready set and the current
-    /// co-runner. `None` means "leave the device idle for now". Model
-    /// evaluations grow with the classes ready, not with the jobs.
+    /// co-runner `(job, level)`: [`pick_for_device`] over the ready jobs
+    /// in ready order, split by their class's preference into `device`'s
+    /// tiers. The co-runner's remaining time counts as 0 in the steal
+    /// guard, since the online callers do not track its progress. `None`
+    /// means "leave the device idle for now". Model evaluations grow with
+    /// the classes ready, not with the jobs.
     pub fn pick(
         &self,
         model: &dyn CoRunModel,
@@ -283,108 +290,22 @@ impl OnlinePolicy {
         device: Device,
         co: Option<(JobId, usize)>,
     ) -> Option<OnlinePick> {
-        let own_pref = match device {
+        let own = match device {
             Device::Cpu => Preference::Cpu,
             Device::Gpu => Preference::Gpu,
         };
-        let other_pref = match device {
-            Device::Cpu => Preference::Gpu,
-            Device::Gpu => Preference::Cpu,
-        };
-        // Preference order: own-preferred, non-preferred, other-preferred.
-        let order = [own_pref, Preference::Non, other_pref];
-        // Per preference, in ready order, the first ready job of each
-        // class. A later job of a class ties with that first one on every
-        // evaluation, and ties go to the earliest job, so only the first
-        // ones are evaluated.
-        let mut firsts: [Vec<JobId>; 3] = Default::default();
-        let mut seen = vec![false; self.preference.len()];
+        let mut tiers: [Vec<JobId>; 3] = Default::default();
         for &j in ready {
-            let class = model.class(j);
-            if !std::mem::replace(&mut seen[class], true) {
-                let slot = order
-                    .iter()
-                    .position(|&p| p == self.preference[class])
-                    .expect("every preference is in the order");
-                firsts[slot].push(j);
-            }
-        }
-        for (slot, pref) in order.into_iter().enumerate() {
-            let Some(pick) = self.pick_from(model, &firsts[slot], device, co) else {
-                continue;
+            let tier = match self.preference[model.class(j)] {
+                p if p == own => 0,
+                Preference::Non => 1,
+                _ => 2,
             };
-            // Steal-profitability guard for other-preferred jobs: only take
-            // the job if running it here beats waiting for its preferred
-            // device behind the other-preferred backlog.
-            if pref == other_pref {
-                let other = device.other();
-                let ko = model.levels(other) - 1;
-                let t_here = model.standalone(pick.job, device, pick.level);
-                let t_there = model.standalone(pick.job, other, ko);
-                // Each class's time there, evaluated once, summed over
-                // every other-preferred ready job in ready order.
-                let mut class_there = vec![0.0; self.preference.len()];
-                for &y in &firsts[slot] {
-                    class_there[model.class(y)] = model.standalone(y, other, ko);
-                }
-                let backlog: f64 = ready
-                    .iter()
-                    .filter(|&&y| y != pick.job)
-                    .map(|&y| model.class(y))
-                    .filter(|&c| self.preference[c] == pref)
-                    .map(|c| class_there[c])
-                    .sum();
-                if t_here >= backlog + t_there {
-                    return None;
-                }
-            }
-            return Some(pick);
+            tiers[tier].push(j);
         }
-        None
-    }
-
-    /// Least-interference candidate with a performance-maximizing feasible
-    /// level.
-    fn pick_from(
-        &self,
-        model: &dyn CoRunModel,
-        candidates: &[JobId],
-        device: Device,
-        co: Option<(JobId, usize)>,
-    ) -> Option<OnlinePick> {
-        match co {
-            None => {
-                // Free machine: longest job first (the batch heuristic's
-                // seeding rule) at its best solo level.
-                let mut best: Option<(JobId, usize, f64)> = None;
-                for &j in candidates {
-                    let Some((level, t)) = best_solo_run(model, j, device, self.cfg.cap_w) else {
-                        continue;
-                    };
-                    if best.is_none_or(|(_, _, bt)| t > bt) {
-                        best = Some((j, level, t));
-                    }
-                }
-                best.map(|(job, level, _)| OnlinePick { job, level })
-            }
-            Some((co_job, co_level)) => {
-                let mut best: Option<(JobId, usize, f64)> = None; // deg sum
-                for &j in candidates {
-                    let Some(level) =
-                        best_level_against(model, j, device, co_job, co_level, self.cfg.cap_w)
-                    else {
-                        continue;
-                    };
-                    let d_own = model.degradation(j, device, level, co_job, co_level);
-                    let d_co = model.degradation(co_job, device.other(), co_level, j, level);
-                    let sum = d_own + d_co;
-                    if best.is_none_or(|(_, _, bs)| sum < bs) {
-                        best = Some((j, level, sum));
-                    }
-                }
-                best.map(|(job, level, _)| OnlinePick { job, level })
-            }
-        }
+        let co = co.map(|(job, level)| (job, level, 0.0));
+        let tiers = tiers.each_ref().map(Vec::as_slice);
+        pick_for_device(model, tiers, device, self.cfg.cap_w, co)
     }
 }
 
@@ -673,6 +594,102 @@ mod tests {
         assert!((0..16).any(|j| rp.backoff_s(j, 1) != rp.backoff_s(j + 16, 1)));
         // Large attempts hit the ceiling.
         assert_eq!(rp.backoff_s(3, 30), rp.backoff_max_s);
+    }
+
+    /// Backoffs are journaled in `requeue` records and re-derived on
+    /// replay, so their bits must never move.
+    #[test]
+    fn backoff_matches_its_pinned_bits() {
+        // A ceiling no attempt reaches, so every bit of the exponential
+        // and its jitter shows, past the doubling clamp at attempt 21.
+        let rp = RetryPolicy {
+            backoff_max_s: 1e9,
+            ..RetryPolicy::default()
+        };
+        let got: Vec<u64> = [0, 7, 4096]
+            .into_iter()
+            .flat_map(|job| (1..=25).map(move |attempt| rp.backoff_s(job, attempt).to_bits()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0x3fb2aadd8c19d10f,
+                0x3fc28c954804a68c,
+                0x3fd09bb66c51393a,
+                0x3fe0fdc4721d1c80,
+                0x3ff08ad3cee07114,
+                0x40032033970cdc57,
+                0x4011b4b4266b09d3,
+                0x4022368258529285,
+                0x40308fee2ac2ce6d,
+                0x40431cfb56eb0130,
+                0x4050589d535e6e2b,
+                0x4061800b234b4b5d,
+                0x406a4688b9fe1e74,
+                0x4081d4926557ef2d,
+                0x408c168204ed9f7a,
+                0x409c6169f276bf8a,
+                0x40b284df2fe33f3f,
+                0x40bb0a9987c82d74,
+                0x40cb5939a2debc5c,
+                0x40dd1140b9c1b2ec,
+                0x40f1ad58c27e0c6f,
+                0x40ee3a9b0e15a7b0,
+                0x40eef20f101a676a,
+                0x40f23e5fbda8fdbd,
+                0x40ef5ff1a10416ca,
+                0x3fb0ea9f1f0b89c5,
+                0x3fc12d9aaf87e987,
+                0x3fd1c3a2ee7631c2,
+                0x3fe1d0aa42ac8b0a,
+                0x3fea2432a8df99b0,
+                0x4001ab0c382794da,
+                0x400c27a64c48bfe0,
+                0x402097e826d07ad2,
+                0x4030114877dff4e5,
+                0x403e8c14c25df375,
+                0x404b14f7348ca07c,
+                0x405d064b6b453487,
+                0x406e8b8a25c471b0,
+                0x407a48215a3732e4,
+                0x409276785c73d59b,
+                0x40a13e25d71a27b0,
+                0x40b116f9364c9487,
+                0x40be8a79a586db2a,
+                0x40d2a0e0e9dce2ab,
+                0x40d9f67927fece12,
+                0x40effb7f3f5c81dd,
+                0x40f101e29629df9d,
+                0x40f2824f7ce9c103,
+                0x40f2d6225eb7e83d,
+                0x40f105d2971a8a97,
+                0x3fb0e7bfc4e4d62a,
+                0x3fbef829a607c860,
+                0x3fcb69544634fcf7,
+                0x3fe0494652fd02b4,
+                0x3fef9d6da5477370,
+                0x4001af2758215ea6,
+                0x4009bb7fd4ccbe52,
+                0x401ef7db1a275aaf,
+                0x40318129c0b8f9d9,
+                0x4041e71d30e2e42f,
+                0x404f4ca0eb9f8724,
+                0x405b0290517d2584,
+                0x406d624b12d953ed,
+                0x4080dccf9db198a7,
+                0x409268c91a407128,
+                0x409c25483234c8aa,
+                0x40ae9319cece81d7,
+                0x40bdbac164a70510,
+                0x40d2235729065c0f,
+                0x40da2a47c006254f,
+                0x40f228b0ac420fce,
+                0x40f32877a362a04d,
+                0x40ed44ce8fbc14ba,
+                0x40f19e77db51f5ed,
+                0x40f03b34e53d661b,
+            ]
+        );
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Crate-level property tests for the scheduling stack (beyond the unit
 //! proptests in `tests/integration_properties.rs`): the theorem's algebra,
-//! the fairness metrics, the chain arithmetic, and objective consistency.
+//! the fairness metrics, and objective consistency.
 
 use apu_sim::Device;
 use corun_core::{
-    chain_completion, corun_beneficial, corun_makespan_conservative, edp_js, energy_j, evaluate,
-    fairness, pair_completion, Assignment, CoRunModel, Schedule, TableModel,
+    corun_beneficial, corun_makespan_conservative, edp_js, energy_j, evaluate, fairness,
+    pair_completion, Assignment, CoRunModel, Schedule, TableModel,
 };
 use proptest::prelude::*;
 
@@ -63,21 +63,6 @@ proptest! {
             let (t1, t2) = pair_completion(l1, d1, l2, d2);
             prop_assert!(t1.max(t2) < l1 + l2, "partial overlap only helps further");
         }
-    }
-
-    #[test]
-    fn chain_equals_evaluator_for_any_sequence(seed in any::<u64>(), n in 3usize..7) {
-        let m = model_from(seed, n);
-        let seq: Vec<(usize, usize)> = (1..n).map(|j| (j, 2)).collect();
-        let chain = chain_completion(&m, 0, Device::Gpu, 2, &seq);
-        let mut s = Schedule::new();
-        s.gpu.push(Assignment { job: 0, level: 2 });
-        for &(j, l) in &seq {
-            s.cpu.push(Assignment { job: j, level: l });
-        }
-        let ev = evaluate(&m, &s, None);
-        prop_assert!((chain.makespan_s - ev.makespan_s).abs() < 1e-6);
-        prop_assert!((chain.long_finish_s - ev.finish_s[0].unwrap()).abs() < 1e-6);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   partition heal impossible by construction.
 
 use crate::shard::{JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
-use corun_core::{Clock, DetRng, WallClock};
+use corun_core::{jittered_backoff_s, Clock, DetRng, WallClock};
 use corun_serve::json::obj;
 use corun_serve::{handle_request, Json, LoadSnapshot, Service, PROTOCOL_VERSION};
 use corun_verify::{Code, Diagnostic, Report};
@@ -697,9 +697,9 @@ impl<T: RawTransport> RpcShard<T> {
                 if remaining <= 0.0 {
                     break;
                 }
-                let exp = self.cfg.backoff_base_s * f64::from(1u32 << attempt.min(16));
-                let jitter = 1.0 + 0.5 * self.rng.next_unit();
-                let delay = (exp * jitter).min(self.cfg.backoff_max_s).min(remaining);
+                let (base, max) = (self.cfg.backoff_base_s, self.cfg.backoff_max_s);
+                let unit = self.rng.next_unit();
+                let delay = jittered_backoff_s(base, attempt, 0.0, unit, max).min(remaining);
                 if delay > 0.0 {
                     // Backoff pacing at the I/O edge: a real sleep whatever
                     // the clock. Under a ManualClock it still sleeps real

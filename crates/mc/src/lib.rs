@@ -60,8 +60,9 @@ mod tests {
         assert!(ex.states > 1_000, "only {} states", ex.states);
     }
 
-    #[test]
-    fn every_seeded_mutation_yields_a_counterexample() {
+    /// Every seeded mutation explored in `scope` must yield a
+    /// counterexample of its own violation kind and code.
+    fn convicts_every_seeded_mutation(scope: &Scope) {
         let expect = [
             (
                 Mutation::LoseEvictedJob,
@@ -85,7 +86,7 @@ mod tests {
             ),
         ];
         for (mutation, kind, code) in expect {
-            let ex = explore(&Scope::smoke(), mutation);
+            let ex = explore(scope, mutation);
             let cex = ex
                 .counterexample
                 .as_ref()
@@ -103,6 +104,31 @@ mod tests {
             assert!(trace.contains("violated:"), "{trace}");
             assert!(!cex.events.is_empty());
         }
+    }
+
+    #[test]
+    fn every_seeded_mutation_yields_a_counterexample() {
+        convicts_every_seeded_mutation(&Scope::smoke());
+    }
+
+    /// The shutdown transition, which no CLI scope turns on: with it the
+    /// smoke scope still proves clean, reaches more states, and convicts
+    /// every seeded bug.
+    #[test]
+    fn the_shutdown_scope_proves_clean_and_convicts_every_mutation() {
+        let scope = Scope {
+            model_shutdown: true,
+            ..Scope::smoke()
+        };
+        let ex = explore(&scope, Mutation::None);
+        assert!(ex.proved(), "{}", ex.report().render_human());
+        let smoke = explore(&Scope::smoke(), Mutation::None).states;
+        assert!(
+            ex.states > smoke,
+            "shutdown added no states ({} vs {smoke})",
+            ex.states
+        );
+        convicts_every_seeded_mutation(&scope);
     }
 
     #[test]

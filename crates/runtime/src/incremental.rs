@@ -213,7 +213,7 @@ mod tests {
     use super::*;
     use crate::modelbuild::build_table_model;
     use apu_sim::PerDevice;
-    use corun_core::{HcsConfig, OnlinePolicy};
+    use corun_core::{best_level_against, fastest_level_against, HcsConfig, OnlinePolicy};
     use perf_model::{characterize, probe_batch, profile_batch, CharacterizeConfig};
     use std::cell::{Cell, RefCell};
     use std::collections::BTreeSet;
@@ -582,6 +582,57 @@ mod tests {
         assert!(
             runs[0].iter().any(|(_, pick)| pick.is_some()),
             "something was picked"
+        );
+    }
+
+    /// The daemon's model (`ServiceConfig::fast`: analytic profiles, no
+    /// LLC probe, the 4-point fast characterization) over the benchmark
+    /// mix, srad, lud and hotspot at x0.05, and the 8 Rodinia programs at
+    /// full scale. Against every co-runner, its own program included, at
+    /// every co-level and cap, the paper's level rule lands on the highest
+    /// feasible level, the rule the daemon's pick used before it shared
+    /// the offline one: daemon decisions on this model do not move.
+    #[test]
+    fn the_paper_level_rule_is_the_highest_feasible_level_on_the_daemon_model() {
+        let cfg = MachineConfig::ivy_bridge();
+        let mut ccfg = CharacterizeConfig::fast(&cfg);
+        ccfg.grid_points = 4;
+        ccfg.micro_duration_s = 1.5;
+        let predictor = StagedPredictor::new(&cfg, characterize(&cfg, &ccfg));
+        let mut inc = IncrementalModel::new(cfg.clone(), predictor, ProfileMethod::Analytic, false);
+        for name in ["srad", "lud", "hotspot"] {
+            let program = kernels::by_name(&cfg, name).expect("a Rodinia program");
+            inc.push_job(&kernels::with_input_scale(&program, 0.05));
+        }
+        for job in &kernels::rodinia8(&cfg).jobs {
+            inc.push_job(job);
+        }
+        assert_eq!(inc.class_count(), 11);
+        let (mut feasible, mut infeasible) = (0, 0);
+        for cap in [8.0, 12.0, 15.0, 20.0, 40.0] {
+            for device in Device::ALL {
+                for job in 0..inc.len() {
+                    for co in 0..inc.len() {
+                        for co_level in 0..inc.levels(device.other()) {
+                            let highest = best_level_against(&inc, job, device, co, co_level, cap);
+                            assert_eq!(
+                                fastest_level_against(&inc, job, device, co, co_level, cap),
+                                highest,
+                                "job {job} on {device} against {co} at level {co_level}, {cap} W"
+                            );
+                            if highest.is_some() {
+                                feasible += 1;
+                            } else {
+                                infeasible += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            feasible > 0 && infeasible > 0,
+            "{feasible} feasible, {infeasible} infeasible"
         );
     }
 

@@ -398,6 +398,115 @@ mod tests {
         shared_cache_matches_fresh_configs(RuntimeConfig::paper);
     }
 
+    /// FNV-1a over a schedule's rendering: each queue's `(job, level)`
+    /// in order, then the solo tail.
+    fn digest(schedule: &Schedule) -> u64 {
+        (schedule.to_string().bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// `(HCS, HCS+)` schedule digests for `rodinia16` seeds 1-10 at 10,
+    /// 15 and 20 W, seed-major.
+    fn offline_digests(config: fn(&MachineConfig) -> RuntimeConfig) -> Vec<(u64, u64)> {
+        let machine = MachineConfig::ivy_bridge();
+        let shared = config(&machine);
+        let mut out = Vec::new();
+        for seed in 1..=10 {
+            let jobs = kernels::rodinia16(&machine, seed).jobs;
+            for cap_w in [10.0, 15.0, 20.0] {
+                let config = RuntimeConfig {
+                    cap_w,
+                    ..shared.clone()
+                };
+                let rt = CoScheduleRuntime::new(machine.clone(), jobs.clone(), config);
+                let hcs = digest(&rt.schedule_hcs().schedule);
+                out.push((hcs, digest(&rt.schedule_hcs_plus())));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn offline_schedules_match_their_pinned_digests() {
+        assert_eq!(offline_digests(RuntimeConfig::fast), PINNED_FAST);
+    }
+
+    /// The same at the paper's settings: too slow for a debug build, so
+    /// ci.sh runs it with `--release`.
+    #[test]
+    #[ignore = "paper configuration; ci.sh runs it with --release"]
+    fn offline_schedules_match_their_pinned_digests_at_paper_settings() {
+        assert_eq!(offline_digests(RuntimeConfig::paper), PINNED_PAPER);
+    }
+
+    // The pinned digests: a change that moves any offline schedule fails
+    // here, and must re-pin them on purpose.
+    const PINNED_FAST: [(u64, u64); 30] = [
+        (0x9c05e68d333728d5, 0x79ef425e2f9d90a1),
+        (0xe89891eb7f1c9dfc, 0x2b224f935f8ee77a),
+        (0xe573497169a8c437, 0x59295adb2e1ebfc9),
+        (0xc88ba9aa022a11ee, 0x0fc2437806fbfd19),
+        (0x567e385fc3564446, 0xfe915082bf47ae07),
+        (0x04ae59c2f6ed7429, 0x9bc6d8501027a6f5),
+        (0xc67ae6e6e2a01168, 0x9c8994da38233c2a),
+        (0x8ba37481284de53a, 0x26e038f3d5c80ca7),
+        (0x25d88754c15a4e9a, 0xb8f3ecef5ee14df8),
+        (0x16ce6d893708b448, 0x75139a6ea2e25e9c),
+        (0xe89891eb7f1c9dfc, 0x90a40b76acbab894),
+        (0xf6486f24c8224381, 0xd16e737f59f1d1fd),
+        (0xe6930567656f1616, 0xc67477cf7f6d047e),
+        (0xabe017908f2801d2, 0x8f2d5a1991bb5d3f),
+        (0x18ae98e42afc8cda, 0xf48fb11fd53c8be8),
+        (0xab0519ca4911ff25, 0x0de12caf66219c87),
+        (0x9a421bdced5f81fa, 0x93f9ea5f4e71c455),
+        (0xc53cd902453e5085, 0x062da27fbc8126db),
+        (0x0159c890f9ad293d, 0x01a570723123e32d),
+        (0x81be0d1c85b3ec26, 0xe9f93a4362b71047),
+        (0x0277b8b6ab3a840d, 0x67a6201170bc0597),
+        (0x3bade68654051ccf, 0x47d0cdc1d5772f8f),
+        (0x1185a35efab8b08c, 0x25241d4313c3a1b8),
+        (0x14481c368fd19938, 0xb6a35c0ae1b820b4),
+        (0xc6808f1e96bdd98b, 0x5a0a781f748a76b9),
+        (0x2c85850571c6e351, 0x9ec033f051529e53),
+        (0xe56327a1c858cefb, 0x4c5ce0a12150c0ef),
+        (0x8726ac94a19f98fb, 0x5c5d0096ecf6ce8d),
+        (0xe807f982caf114c0, 0xbdf0656e87ef3ab2),
+        (0xe573497169a8c437, 0x0de6ca0e71a84189),
+    ];
+    const PINNED_PAPER: [(u64, u64); 30] = [
+        (0xa1d8d0baef70b6f5, 0xd44d80f104657533),
+        (0xe89891eb7f1c9dfc, 0xa39e36d5bbe82a5a),
+        (0xe573497169a8c437, 0x5ebd3ab4753e07c7),
+        (0x1fb0398373385808, 0x77c415a79dd5e552),
+        (0x2cac1bef78a0980e, 0x1c7ceb974c107568),
+        (0x04ae59c2f6ed7429, 0x62979e9f90eb5b2d),
+        (0xc67ae6e6e2a01168, 0x9c8994da38233c2a),
+        (0x006b76bb4d189782, 0x77385d6d2a5125eb),
+        (0x3e11bd034c1b5be6, 0x609857bd24fc7126),
+        (0x9c6ed7a5cd2a1580, 0xab6391d6a07fb4bc),
+        (0xe89891eb7f1c9dfc, 0x4d0718f2ac21b28a),
+        (0xf6486f24c8224381, 0x93755fc50bae48b9),
+        (0x99210089bd4b1eee, 0x5d6416dbe0595f12),
+        (0xabe017908f2801d2, 0xad19de04b710ec5e),
+        (0x18ae98e42afc8cda, 0x793f12c36045455e),
+        (0x29e0ed5da2c45326, 0x565db6c948688b1c),
+        (0xc3e06f3f168e1766, 0x59b822c154bff1d0),
+        (0x642531c178b4cf1a, 0x9f46fe34af0c5a96),
+        (0xef0ff43f1daf3d49, 0x111c1bb8c50666d3),
+        (0xf71d613082050e76, 0xdf28a78cc3f91f8d),
+        (0x0277b8b6ab3a840d, 0xe792e7edfcdde3b6),
+        (0x3bade68654051ccf, 0x088aaa38ecfe6b37),
+        (0xd9fff305bafa2b5a, 0x273b9b265df94446),
+        (0xba16326517d0b5e8, 0x75d0831856b0da3c),
+        (0x8baf0da1a7a803c7, 0xe49cedb63a33f04b),
+        (0xfa2d11f8c6ab051c, 0xc798e9971090cb86),
+        (0xe56327a1c858cefb, 0x7a8c0a85e41e5845),
+        (0x43805c068d95a297, 0xf4a805612cf1c4e9),
+        (0xe89891eb7f1c9dfc, 0xd294dcf40fe4cf94),
+        (0xe573497169a8c437, 0x6cea88c4db570541),
+    ];
+
     #[test]
     fn a_renamed_program_shares_one_class_and_keeps_its_name() {
         let machine = MachineConfig::ivy_bridge();

@@ -188,9 +188,13 @@ impl Client {
                 .and_then(Json::as_f64)
                 .unwrap_or(0.0)
                 .max(0.0);
-            let exp = retry.base_s.max(0.0) * (1u64 << attempt.min(20)) as f64;
-            let jitter = 1.0 + 0.5 * jitter_rng.next_unit();
-            let delay = (hint.max(exp) * jitter).min(retry.max_s.max(0.0));
+            let delay = corun_core::jittered_backoff_s(
+                retry.base_s.max(0.0),
+                attempt,
+                hint,
+                jitter_rng.next_unit(),
+                retry.max_s.max(0.0),
+            );
             // Never sleep past the wall-clock budget: truncate the last
             // back-off so the final attempt happens at the deadline, not
             // a full back-off beyond it.

@@ -1,12 +1,12 @@
 //! Integration tests for the beyond-the-paper extensions: online
-//! scheduling, annealing, branch-and-bound, chains, fairness, sweeps,
+//! scheduling, annealing, branch-and-bound, fairness, sweeps,
 //! caching, and the second machine preset.
 
-use apu_sim::{Device, MachineConfig, NullGovernor};
+use apu_sim::{MachineConfig, NullGovernor};
 use corun_core::CoRunModel;
 use corun_core::{
-    anneal, best_sequence, branch_and_bound, evaluate, fairness, AnnealConfig, Arrival, BnbConfig,
-    HcsConfig, OnlinePolicy,
+    anneal, branch_and_bound, evaluate, fairness, AnnealConfig, Arrival, BnbConfig, HcsConfig,
+    OnlinePolicy,
 };
 use kernels::{poisson, rodinia8, with_input_scale};
 use runtime::{cap_sweep, CoScheduleRuntime, Method, RuntimeConfig};
@@ -72,19 +72,6 @@ fn online_policy_full_stream_on_simulator() {
             "no job starts before it arrives"
         );
     }
-}
-
-#[test]
-fn chain_solver_agrees_with_runtime_model() {
-    let rt = small_rt(MachineConfig::ivy_bridge(), 15.0);
-    let m = rt.model();
-    let shorts: Vec<(usize, usize)> = vec![(1, 9), (3, 9), (5, 9)];
-    let (seq, out) = best_sequence(m, 0, Device::Cpu, 15, &shorts);
-    assert_eq!(seq.len(), 3);
-    assert!(out.makespan_s > 0.0);
-    // the solved order is at least as good as the given order
-    let given = corun_core::chain_completion(m, 0, Device::Cpu, 15, &shorts);
-    assert!(out.makespan_s <= given.makespan_s + 1e-9);
 }
 
 #[test]
