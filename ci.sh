@@ -29,6 +29,10 @@ PEDANTIC=(
 )
 cargo clippy --workspace --all-targets -- -D warnings "${PEDANTIC[@]}"
 
+echo "== rustdoc: every crate documents without warnings"
+# Broken, ambiguous or private intra-doc links fail here, not on a reader.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1: build + tests"
 cargo build --release
 cargo test -q

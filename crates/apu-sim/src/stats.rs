@@ -1,4 +1,4 @@
-//! Post-run statistics over a [`RunReport`](crate::engine::RunReport):
+//! Post-run statistics over a [`RunReport`]:
 //! device utilization, concurrency, and energy accounting.
 
 use crate::device::{Device, PerDevice};

@@ -1,6 +1,6 @@
 //! Machine-configuration validation.
 //!
-//! Custom [`MachineConfig`](crate::config::MachineConfig)s (beyond the
+//! Custom [`MachineConfig`]s (beyond the
 //! shipped presets) are easy to get subtly wrong — a non-monotone frequency
 //! table, a zero bandwidth, arbitration weights that starve a device.
 //! `validate` checks every invariant the simulator and the algorithms rely

@@ -354,7 +354,7 @@ fn cmd_fleet_status(args: &Args) -> Result<(), String> {
     let mut cap_sum = 0.0f64;
     println!(
         "shard  addr                   queue  submitted  done  dead  cap_w  \
-         p50_ms  p99_ms  retries"
+         p50_ms  p99_ms  retries  backoffs  wait_s"
     );
     for (s, backend) in backends.iter_mut().enumerate() {
         let m = backend
@@ -362,7 +362,7 @@ fn cmd_fleet_status(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("{}: {e}", addrs[s]))?;
         let r = backend.rpc_stats();
         println!(
-            "{s:>5}  {:<21}  {:>5}  {:>9}  {:>4}  {:>4}  {:>5.1}  {:>6.1}  {:>6.1}  {:>7}",
+            "{s:>5}  {:<21}  {:>5}  {:>9}  {:>4}  {:>4}  {:>5.1}  {:>6.1}  {:>6.1}  {:>7}  {:>8}  {:>6.3}",
             addrs[s],
             m.queue_depth,
             m.submitted,
@@ -371,7 +371,9 @@ fn cmd_fleet_status(args: &Args) -> Result<(), String> {
             m.cap_w,
             r.p50_ms,
             r.p99_ms,
-            r.retries
+            r.retries,
+            r.backoffs,
+            r.backoff_s
         );
         total_done += m.completed;
         total_submitted += m.submitted;
@@ -424,17 +426,20 @@ fn render_metrics(m: &FleetMetrics) -> String {
         "moves: {} steal(s), {} rebalance(s), {} lost-requeue(s)\n",
         m.steals, m.rebalances, m.lost_requeues
     ));
-    let (ops, retries, reconnects, fenced) = m.rpc.iter().fold((0, 0, 0, 0), |acc, r| {
-        (
-            acc.0 + r.ops,
-            acc.1 + r.retries,
-            acc.2 + r.reconnects,
-            acc.3 + r.fenced,
-        )
-    });
+    let (ops, retries, reconnects, fenced, backoffs, backoff_s) =
+        m.rpc.iter().fold((0, 0, 0, 0, 0, 0.0), |acc, r| {
+            (
+                acc.0 + r.ops,
+                acc.1 + r.retries,
+                acc.2 + r.reconnects,
+                acc.3 + r.fenced,
+                acc.4 + r.backoffs,
+                acc.5 + r.backoff_s,
+            )
+        });
     out.push_str(&format!(
         "net: {ops} rpc op(s), {retries} retr(ies), {reconnects} reconnect(s), {fenced} fenced, \
-         {} in doubt, {} coordinator recover(ies)\n",
+         {} in doubt, {} coordinator recover(ies), {backoffs} backoff(s) waiting {backoff_s:.3} s\n",
         m.in_doubt, m.fleet_recoveries
     ));
     for (s, sm) in m.shards.iter().enumerate() {
@@ -451,14 +456,16 @@ fn render_metrics(m: &FleetMetrics) -> String {
         if r.ops > 0 {
             out.push_str(&format!(
                 "shard {s} net: circuit {}, p50 {:.1} ms, p99 {:.1} ms, {} retries, \
-                 {} reconnects, {} fenced, {} desyncs\n",
+                 {} reconnects, {} fenced, {} desyncs, {} backoffs waiting {:.3} s\n",
                 m.circuits[s].as_str(),
                 r.p50_ms,
                 r.p99_ms,
                 r.retries,
                 r.reconnects,
                 r.fenced,
-                r.desyncs
+                r.desyncs,
+                r.backoffs,
+                r.backoff_s
             ));
         }
     }

@@ -35,7 +35,7 @@ pub enum ShardDemand {
 const CAP_SUM_REL_EPS: f64 = 1e-9;
 
 /// True iff `sum(shard_caps) <= cluster_cap_w` up to floating-point
-/// rounding (relative tolerance [`CAP_SUM_REL_EPS`]) and every cap is
+/// rounding (relative tolerance `CAP_SUM_REL_EPS`) and every cap is
 /// finite and non-negative.
 #[must_use]
 pub fn respects_cluster_cap(shard_caps_w: &[f64], cluster_cap_w: f64) -> bool {

@@ -5,13 +5,13 @@
 //! an abstract [`CoRunModel`]:
 //!
 //! * [`theorem`] — the Co-Run Theorem and partial-overlap co-run arithmetic;
-//! * [`hcs`] — the three-step heuristic co-scheduling algorithm with its
+//! * [`hcs`](mod@hcs) — the three-step heuristic co-scheduling algorithm with its
 //!   power-cap adaptations;
-//! * [`refine`] — the HCS+ three-pass local refinement;
+//! * [`refine`](mod@refine) — the HCS+ three-pass local refinement;
 //! * [`bound`] — the lower bound `T_low` on the optimal makespan;
 //! * [`baselines`] — Random and Default comparison schedulers;
 //! * [`exhaustive`] — small-batch exhaustive search (Section III example);
-//! * [`evaluate`] — model-based schedule evaluation (makespan, power, cap);
+//! * [`evaluate`](mod@evaluate) — model-based schedule evaluation (makespan, power, cap);
 //! * [`freqgrid`] — cap-feasible frequency enumeration;
 //! * [`model`], [`schedule`] — the data model.
 //!
@@ -19,10 +19,10 @@
 //!
 //! * [`bnb`] — branch-and-bound optimal search (small batches);
 //! * [`budget`] — cluster-wide power-budget partitioning across shards;
-//! * [`anneal`] — simulated-annealing schedule search;
+//! * [`anneal`](mod@anneal) — simulated-annealing schedule search;
 //! * [`online`] — arrival-driven online policy and model-level replay;
 //! * [`objective`] — energy and energy-delay-product objectives;
-//! * [`fairness`] — per-job slowdown and Jain-index metrics.
+//! * [`fairness`](mod@fairness) — per-job slowdown and Jain-index metrics.
 
 pub mod anneal;
 pub mod baselines;

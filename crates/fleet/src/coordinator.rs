@@ -9,12 +9,19 @@
 //! thousands of simulated machines this way; the shards do the heavy
 //! lifting on their own worker threads (in-process mode) or in separate
 //! daemons (remote mode).
+//!
+//! The round never sleeps on a shard. A shard's link is idle, or it
+//! holds one data op (a poll, a submit batch or a sweep) that is backing
+//! off until a wake-up on the link's clock. A busy link sits the round
+//! out while every other shard goes on; the round that resumes it
+//! applies the op's reply. Control ops (caps, recovery, shutdown) settle
+//! the link's op inline first.
 
 use crate::fleetlog::{replay_fleetlog, FleetRecord, RecoveredLoc, FLEETLOG_FORMAT_VERSION};
 use crate::net::RpcSnapshot;
 use crate::placement::{HashRing, LeastLoaded, Placement, ShardView};
 use crate::router::{FleetJob, FleetJobId, JobLoc, Router};
-use crate::shard::{JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
+use crate::shard::{DataOp, DataReply, JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
 use corun_core::budget::{partition_cluster_cap, ShardDemand};
 use corun_serve::wal::{self, repair_tail, Journal};
 use corun_serve::LoadSnapshot;
@@ -72,12 +79,16 @@ pub struct FleetConfig {
     pub steal_batch: usize,
     /// Rounds between budget rebalances. A rebalance round polls every
     /// shard with a full `metrics` call, so the partition weighs demand
-    /// as the round starts.
+    /// as the round starts. A rebalance that comes due while a live
+    /// shard's link is backing off waits for the first round in which
+    /// every live link answers its poll.
     pub rebalance_every: usize,
     /// Stop submitting to a shard once its observed queue depth reaches
     /// this many jobs.
     pub queue_high_water: usize,
-    /// Max submissions pushed to one shard in one round.
+    /// Max submissions pushed to one shard in one round. A shard whose
+    /// link has just waited out a backoff may be filled to
+    /// `queue_high_water` instead: its queue ran dry behind the wait.
     pub submit_burst: usize,
     /// Placement policy.
     pub placement: PlacementKind,
@@ -92,7 +103,9 @@ pub struct FleetConfig {
     /// Consecutive transport failures before the circuit opens (`Dead`):
     /// the coordinator stops routing to the shard and only probes it.
     pub dead_after: u32,
-    /// Rounds between probes of an open-circuit shard.
+    /// Rounds between probes of an open-circuit shard, and between the
+    /// heartbeats of a live shard with nothing outstanding and nothing
+    /// to submit.
     pub probe_every_rounds: u64,
     /// Write-ahead coordinator journal (the fleetlog); `None` disables
     /// coordinator crash recovery.
@@ -263,6 +276,22 @@ pub struct Fleet {
     /// Shards whose replies have carried `load` (protocol 3 daemons):
     /// they are swept every round they hold outstanding jobs.
     reports_load: Vec<bool>,
+    /// Per shard, the data op its link holds while it backs off.
+    busy: Vec<Option<Pending>>,
+    /// Shards whose link held an op as this round began: the round's
+    /// resume is their exchange, and they sit out its poll, push and
+    /// sweep.
+    held: Vec<bool>,
+    /// Shards whose link has backed off since their last push: the
+    /// shard's queue ran dry behind the wait, so the next push may fill
+    /// it to the high water.
+    refill: Vec<bool>,
+    /// A rebalance came due in a round where a live link was busy; it
+    /// runs in the first round in which every live link answers its
+    /// poll.
+    rebalance_owed: bool,
+    /// Jobs that left the outstanding set this round.
+    folded: usize,
     metrics_cache: Vec<ShardMetrics>,
     caps_w: Vec<f64>,
     rounds: u64,
@@ -284,6 +313,20 @@ pub struct Fleet {
     /// replies (FLT008), journal write failures (FLT009).
     chaos: Report,
     recoveries: usize,
+}
+
+/// What a busy link's data op covers, to apply its reply once it
+/// settles.
+enum Pending {
+    /// A heartbeat or probe `metrics`.
+    Poll,
+    /// A keyed submit batch: its in-doubt jobs, then its fresh ones.
+    Push {
+        doubt: Vec<FleetJobId>,
+        fresh: Vec<FleetJobId>,
+    },
+    /// A sweep of these shard-local ids, due at this terminal count.
+    Sweep { locals: Vec<usize>, terminal: usize },
 }
 
 /// The books a coordinator starts from: empty for [`Fleet::new`],
@@ -447,6 +490,11 @@ impl Fleet {
             force_sweep: vec![recoveries > 0; n],
             heard: vec![None; n],
             reports_load: vec![false; n],
+            busy: (0..n).map(|_| None).collect(),
+            held: vec![false; n],
+            refill: vec![false; n],
+            rebalance_owed: false,
+            folded: 0,
             metrics_cache: vec![ShardMetrics::default(); n],
             max_cap_sum_w: caps_w.iter().sum(),
             caps_w,
@@ -463,7 +511,7 @@ impl Fleet {
             shards,
             cfg,
         };
-        fleet.poll_shards(true);
+        fleet.poll_shards(true, true);
         fleet.rebalance();
         fleet.log_commit();
         Ok(fleet)
@@ -564,11 +612,16 @@ impl Fleet {
     /// short sleep (see [`Fleet::drain`]).
     pub fn pump(&mut self) -> usize {
         self.rounds += 1;
-        let rebalance_due = self.cfg.rebalance_every > 0
-            && self.rounds.is_multiple_of(self.cfg.rebalance_every as u64);
+        self.folded = 0;
+        self.resume();
+        let every = self.cfg.rebalance_every as u64;
+        self.rebalance_owed |= every > 0 && self.rounds.is_multiple_of(every);
         // The budget partition weighs each shard's demand as this round
-        // starts, not as its last submit left it: poll in full for it.
-        self.poll_shards(rebalance_due);
+        // starts, not as its last submit left it: it polls in full, and
+        // only while no live link is backing off, whose demand the poll
+        // would miss.
+        let rebalance_due = self.rebalance_owed && self.live_links_idle();
+        self.poll_shards(rebalance_due, false);
         for s in 0..self.cfg.shards {
             if self.shards[s].take_incarnation_change() {
                 // The shard restarted or recovered behind our back: its
@@ -590,8 +643,9 @@ impl Fleet {
                 let _ = self.recover_shard(s);
             }
         }
-        if rebalance_due {
+        if rebalance_due && self.live_links_idle() {
             self.rebalance();
+            self.rebalance_owed = false;
         }
         self.evacuate_dead();
         let steals =
@@ -599,7 +653,7 @@ impl Fleet {
                 .auto_steal(&self.view, self.cfg.steal_threshold, self.cfg.steal_batch);
         self.steals_total += steals.iter().map(|s| s.moved).sum::<usize>();
         self.push_submissions();
-        let folded = self.fold_completions();
+        self.fold_completions();
         if self.cfg.paranoid {
             self.router.check_books();
         }
@@ -609,7 +663,67 @@ impl Fleet {
         ));
         // One commit for the round's confirms, completions and caps.
         self.log_commit();
-        folded
+        self.folded
+    }
+
+    /// Resume every busy link whose wake-up is due, and apply the reply
+    /// of each op that settles.
+    fn resume(&mut self) {
+        for s in 0..self.cfg.shards {
+            self.held[s] = self.busy[s].is_some();
+            if let Some(pending) = self.busy[s].take() {
+                match self.shards[s].poll_op(false) {
+                    Some(reply) => self.apply(s, pending, reply),
+                    None => self.busy[s] = Some(pending),
+                }
+            }
+        }
+    }
+
+    /// `s` has its link to itself this round: it holds no op, and held
+    /// none as the round began.
+    fn idle(&self, s: usize) -> bool {
+        !self.held[s] && self.busy[s].is_none()
+    }
+
+    fn live_links_idle(&self) -> bool {
+        (0..self.cfg.shards).all(|s| !self.view.alive[s] || self.idle(s))
+    }
+
+    /// Start `op` on `s`'s link and apply its reply if it settles at
+    /// once; otherwise the link holds it, with `pending`, until it does.
+    fn start(&mut self, s: usize, op: DataOp, pending: Pending) {
+        match self.shards[s].start_op(op) {
+            Some(reply) => self.apply(s, pending, reply),
+            None => {
+                self.busy[s] = Some(pending);
+                self.refill[s] = true;
+            }
+        }
+    }
+
+    /// Settle the op `s`'s link holds inline, waiting out its backoffs,
+    /// and apply its reply: a control op goes out on an idle link.
+    fn settle(&mut self, s: usize) {
+        if let Some(pending) = self.busy[s].take() {
+            let reply = self.shards[s]
+                .poll_op(true)
+                .expect("a blocking poll settles the op the link holds");
+            self.apply(s, pending, reply);
+        }
+    }
+
+    fn apply(&mut self, s: usize, pending: Pending, reply: DataReply) {
+        match (pending, reply) {
+            (Pending::Poll, DataReply::Metrics(m)) => self.apply_poll(s, m),
+            (Pending::Push { doubt, fresh }, DataReply::Submit(outcomes)) => {
+                self.apply_push(s, &doubt, &fresh, outcomes);
+            }
+            (Pending::Sweep { locals, terminal }, DataReply::Status(phases)) => {
+                self.apply_sweep(s, locals, terminal, phases);
+            }
+            _ => unreachable!("a link settles the op it was started with"),
+        }
     }
 
     /// Pump until every admitted job is terminal or `timeout_s` elapses.
@@ -645,7 +759,7 @@ impl Fleet {
     /// fleet: the shard snapshots in [`Fleet::metrics`] are then no older
     /// than the books.
     pub fn refresh(&mut self) {
-        self.poll_shards(true);
+        self.poll_shards(true, true);
     }
 
     /// Aggregated metrics.
@@ -706,36 +820,35 @@ impl Fleet {
     /// Force one shard through recovery: restart/reconnect it, then
     /// immediately rebalance so it runs under a freshly partitioned cap.
     pub fn recover_shard(&mut self, shard: usize) -> Result<(), String> {
+        self.settle(shard);
+        let before = self.caps_w.clone();
         // Partition as if the shard were already back so its restart cap
-        // is its post-recovery budget, not a stale one. Lower the other
-        // live shards *first*: the recovering shard's new share may be
-        // larger than what its death left reserved, and budget must be
-        // freed before it is re-spent.
-        let caps = self.partitioned_caps(Some(shard));
-        self.assert_caps(&caps);
-        for (s, &cap) in caps.iter().enumerate() {
-            if s != shard && self.view.alive[s] && cap > 0.0 && cap < self.caps_w[s] {
-                if self.shards[s].set_cap(cap).is_ok() {
-                    self.caps_w[s] = cap;
-                } else {
-                    self.view.alive[s] = false;
-                }
+        // is its post-recovery budget, not a stale one. The other shards'
+        // lowers land first: the recovering shard's new share may be
+        // larger than what its death left reserved.
+        let caps = self.lower_caps(Some(shard));
+        let recovered = self.shards[shard].recover(caps[shard]);
+        if recovered.is_ok() {
+            self.view.alive[shard] = true;
+            self.breakers[shard] = Breaker::new();
+            self.force_sweep[shard] = true;
+            if caps[shard] > 0.0 {
+                // `recover` restarted the shard under this cap.
+                self.caps_w[shard] = caps[shard];
             }
+            self.raise_caps(&caps);
+            self.rebalances += 1;
         }
-        self.shards[shard].recover(caps[shard])?;
-        self.view.alive[shard] = true;
-        self.breakers[shard] = Breaker::new();
-        self.force_sweep[shard] = true;
-        self.apply_caps(caps);
-        self.rebalances += 1;
+        self.note_caps(&before);
         self.log_commit();
-        Ok(())
+        recovered
     }
 
     /// Begin a graceful fleet-wide shutdown.
     pub fn begin_shutdown(&mut self) {
-        for shard in &mut self.shards {
-            shard.begin_shutdown();
+        for s in 0..self.cfg.shards {
+            self.settle(s);
+            self.shards[s].begin_shutdown();
         }
     }
 
@@ -789,33 +902,56 @@ impl Fleet {
         );
     }
 
-    /// Push `caps` to live shards (skipping unchanged ones) and record
-    /// the hand-out.
-    fn apply_caps(&mut self, caps: Vec<f64>) {
-        for (s, &cap) in caps.iter().enumerate() {
-            if !self.view.alive[s] || cap <= 0.0 {
-                continue;
+    /// Partition the cluster cap and push every *lower* in it, so the
+    /// budget is freed before any of it is re-spent. A shard whose lower
+    /// fails is marked down: it may still run under its old cap, so that
+    /// cap stays booked and reserved, and the cap is partitioned again.
+    /// Returns a partition of which only raises remain to be pushed.
+    fn lower_caps(&mut self, treat_alive: Option<usize>) -> Vec<f64> {
+        loop {
+            let caps = self.partitioned_caps(treat_alive);
+            self.assert_caps(&caps);
+            let mut lost = false;
+            for (s, &cap) in caps.iter().enumerate() {
+                let lower = cap > 0.0 && cap < self.caps_w[s] - 1e-9;
+                if treat_alive != Some(s) && self.view.alive[s] && lower {
+                    lost |= !self.push_cap(s, cap);
+                }
             }
-            if (cap - self.caps_w[s]).abs() < 1e-9 {
-                continue;
-            }
-            if self.shards[s].set_cap(cap).is_err() {
-                // Push failed: the shard is down; it holds its *old* cap,
-                // so keep that figure on the books (conservative: the sum
-                // of booked caps still bounds what shards may draw).
-                self.view.alive[s] = false;
-            }
-        }
-        let mut changed = false;
-        for (s, &cap) in caps.iter().enumerate() {
-            if self.view.alive[s] && (cap - self.caps_w[s]).abs() > 1e-9 {
-                self.caps_w[s] = cap;
-                changed = true;
+            if !lost {
+                return caps;
             }
         }
+    }
+
+    /// Push the raises left in `caps`, a partition [`Fleet::lower_caps`]
+    /// returned. A failed raise keeps the shard's lower cap booked.
+    fn raise_caps(&mut self, caps: &[f64]) {
+        for (s, &cap) in caps.iter().enumerate() {
+            if self.view.alive[s] && cap > self.caps_w[s] + 1e-9 {
+                self.push_cap(s, cap);
+            }
+        }
+    }
+
+    /// Push `cap` to `s` once its link is idle and book it if it lands.
+    /// Otherwise the shard is marked down and keeps its old cap booked.
+    fn push_cap(&mut self, s: usize, cap: f64) -> bool {
+        self.settle(s);
+        if self.view.alive[s] && self.shards[s].set_cap(cap).is_ok() {
+            self.caps_w[s] = cap;
+            return true;
+        }
+        self.view.alive[s] = false;
+        false
+    }
+
+    /// Record the hand-out after the booked caps moved from `before`.
+    /// Lowers land before raises, so the booked sum peaks at either end.
+    fn note_caps(&mut self, before: &[f64]) {
         let sum: f64 = self.caps_w.iter().sum();
         self.max_cap_sum_w = self.max_cap_sum_w.max(sum);
-        if changed {
+        if self.caps_w != before {
             self.log_rec(&FleetRecord::Caps {
                 caps_w: self.caps_w.clone(),
             });
@@ -823,21 +959,30 @@ impl Fleet {
     }
 
     fn rebalance(&mut self) {
-        let caps = self.partitioned_caps(None);
-        self.assert_caps(&caps);
-        self.apply_caps(caps);
+        let before = self.caps_w.clone();
+        let caps = self.lower_caps(None);
+        self.raise_caps(&caps);
+        self.note_caps(&before);
         self.rebalances += 1;
     }
 
     /// Refresh the view of every shard. In a round's poll (`full ==
     /// false`), a shard whose last submit or status reply carried `load`
     /// gets no `metrics` RPC: that reply was its heartbeat, and its
-    /// counters are merged into the cached snapshot. An open circuit
-    /// ignores such a reply and waits for its probe. A full poll
+    /// counters are merged into the cached snapshot. A quiet shard (see
+    /// [`Fleet::quiet`]) gets its heartbeat on the probe cadence. An open
+    /// circuit ignores such a reply and waits for its probe. A full poll
     /// (start-up, rebalance rounds, [`Fleet::refresh`]) asks every
-    /// reachable shard for a whole snapshot.
-    fn poll_shards(&mut self, full: bool) {
+    /// reachable shard for a whole snapshot. A round's poll skips a busy
+    /// link; a blocking one (start-up, [`Fleet::refresh`]) settles the
+    /// link's op and then its poll.
+    fn poll_shards(&mut self, full: bool, block: bool) {
         for s in 0..self.cfg.shards {
+            if block {
+                self.settle(s);
+            } else if !self.idle(s) {
+                continue;
+            }
             // An open circuit is only *probed* on its cadence; between
             // probes the shard stays fenced off without paying an RPC
             // timeout every round.
@@ -852,19 +997,15 @@ impl Fleet {
                 self.heartbeat(s);
             } else if dead && !probe_due {
                 self.view.alive[s] = false;
-            } else {
+            } else if full || probe_due || !self.quiet(s) {
                 self.breakers[s].last_probe_round = self.rounds;
-                match self.shards[s].metrics() {
-                    Ok(m) => {
-                        self.metrics_cache[s] = m;
-                        self.heartbeat(s);
-                    }
-                    Err(_) => {
-                        self.view.alive[s] = false;
-                        self.breaker_trip(s);
-                    }
+                self.start(s, DataOp::Metrics, Pending::Poll);
+                if block {
+                    self.settle(s);
                 }
             }
+        }
+        for s in 0..self.cfg.shards {
             self.surface_fenced(s);
             self.view.load[s] = self.router.backlog_depth(s)
                 + if self.view.alive[s] {
@@ -872,6 +1013,33 @@ impl Fleet {
                 } else {
                     0
                 };
+        }
+    }
+
+    /// A live shard that reports `load` and has nothing outstanding and
+    /// nothing to submit: a missed failure costs it nothing until it has
+    /// work, so its heartbeat waits for the probe cadence. A protocol-2
+    /// shard is polled every round, since its sweep is gated on the
+    /// poll's terminal count.
+    fn quiet(&self, s: usize) -> bool {
+        self.reports_load[s]
+            && self.view.alive[s]
+            && !self.force_sweep[s]
+            && self.outstanding[s].is_empty()
+            && self.router.backlog_depth(s) == 0
+            && self.router.in_doubt(s).is_empty()
+    }
+
+    fn apply_poll(&mut self, s: usize, m: Result<ShardMetrics, String>) {
+        match m {
+            Ok(m) => {
+                self.metrics_cache[s] = m;
+                self.heartbeat(s);
+            }
+            Err(_) => {
+                self.view.alive[s] = false;
+                self.breaker_trip(s);
+            }
         }
     }
 
@@ -941,23 +1109,23 @@ impl Fleet {
         }
     }
 
-    /// Send each live shard at most one keyed `submit_batch` this round:
-    /// its in-doubt jobs first, then up to `min(submit_burst,
-    /// queue_high_water - queue_depth)` jobs from its backlog. The fresh
-    /// jobs' intents are committed once, before the RPC.
-    ///
-    /// Keyed resubmission settles an in-doubt job: a dedup hit proves the
-    /// original RPC landed (the shard answers with the existing id); a
-    /// fresh accept proves it did not and admits the one and only copy.
-    /// Either way exactly one copy exists, which is the no-double-dispatch
-    /// invariant. An in-doubt job answered any other way stays in doubt.
+    /// Send each live, idle shard at most one keyed `submit_batch` this
+    /// round: its in-doubt jobs first, then up to `min(submit_burst,
+    /// queue_high_water - queue_depth)` jobs from its backlog, or up to
+    /// the high water alone after its link backed off. The fresh jobs'
+    /// intents are committed once, before the RPC.
     fn push_submissions(&mut self) {
         for s in 0..self.cfg.shards {
-            if !self.view.alive[s] {
+            if !self.view.alive[s] || !self.idle(s) {
                 continue;
             }
             let doubt = self.router.in_doubt(s);
-            let room = self.cfg.submit_burst.min(
+            let burst = if std::mem::take(&mut self.refill[s]) {
+                self.cfg.queue_high_water
+            } else {
+                self.cfg.submit_burst
+            };
+            let room = burst.min(
                 self.cfg
                     .queue_high_water
                     .saturating_sub(self.metrics_cache[s].queue_depth),
@@ -984,74 +1152,91 @@ impl Fleet {
                     (job.key.clone(), job.spec.clone())
                 })
                 .collect();
-            let mut outcomes = self.shards[s].submit_batch(&items).into_iter();
-            let load = self.note_load(s);
-            let mut down = false;
-            let mut in_doubt = false;
-            for &id in &doubt {
-                match outcomes.next() {
-                    Some(SubmitOutcome::Accepted(local_ids)) => {
-                        let local_id = single_id(&local_ids);
-                        self.router.resolve_confirm(id, local_id);
-                        self.booked(id, s, local_id);
-                        // The job may already be terminal on the shard
-                        // (it ran while we were partitioned): sweep.
-                        self.force_sweep[s] = true;
-                    }
-                    Some(SubmitOutcome::Refused(_)) => {
-                        // The shard's dedup would have answered with the
-                        // original ids had the first RPC landed, so it
-                        // cannot have: terminal rejection.
-                        self.router.resolve_reject(id);
-                        self.log_rec(&FleetRecord::Rejected { id });
-                    }
-                    Some(SubmitOutcome::Down(_)) => down = true,
-                    Some(SubmitOutcome::Indeterminate(_)) => in_doubt = true,
-                    Some(SubmitOutcome::Backpressure { .. }) | None => {}
+            self.start(s, DataOp::Submit(items), Pending::Push { doubt, fresh });
+        }
+    }
+
+    /// Fold a settled submit batch into the books.
+    ///
+    /// Keyed resubmission settles an in-doubt job: a dedup hit proves the
+    /// original RPC landed (the shard answers with the existing id); a
+    /// fresh accept proves it did not and admits the one and only copy.
+    /// Either way exactly one copy exists, which is the no-double-dispatch
+    /// invariant. An in-doubt job answered any other way stays in doubt.
+    fn apply_push(
+        &mut self,
+        s: usize,
+        doubt: &[FleetJobId],
+        fresh: &[FleetJobId],
+        outcomes: Vec<SubmitOutcome>,
+    ) {
+        let mut outcomes = outcomes.into_iter();
+        let load = self.note_load(s);
+        let mut down = false;
+        let mut in_doubt = false;
+        for &id in doubt {
+            match outcomes.next() {
+                Some(SubmitOutcome::Accepted(local_ids)) => {
+                    let local_id = single_id(&local_ids);
+                    self.router.resolve_confirm(id, local_id);
+                    self.booked(id, s, local_id);
+                    // The job may already be terminal on the shard (it
+                    // ran while we were partitioned): sweep.
+                    self.force_sweep[s] = true;
                 }
-            }
-            let mut unplaced = Vec::new();
-            for &id in &fresh {
-                match outcomes.next() {
-                    Some(SubmitOutcome::Accepted(local_ids)) => {
-                        let local_id = single_id(&local_ids);
-                        self.router.confirm(id, local_id);
-                        self.booked(id, s, local_id);
-                    }
-                    Some(SubmitOutcome::Refused(_)) => {
-                        self.router.reject(id);
-                        self.log_rec(&FleetRecord::Rejected { id });
-                    }
-                    Some(SubmitOutcome::Indeterminate(_)) => {
-                        // The request may have landed. Pin the job to
-                        // this shard; the next round's batch settles it
-                        // by keyed resubmission.
-                        self.router.mark_in_doubt(id);
-                        in_doubt = true;
-                    }
-                    Some(SubmitOutcome::Down(_)) => {
-                        // Certainly undelivered: safe to re-place.
-                        unplaced.push(id);
-                        down = true;
-                    }
-                    // Backpressure, or never attempted.
-                    Some(SubmitOutcome::Backpressure { .. }) | None => unplaced.push(id),
+                Some(SubmitOutcome::Refused(_)) => {
+                    // The shard's dedup would have answered with the
+                    // original ids had the first RPC landed, so it cannot
+                    // have: terminal rejection.
+                    self.router.resolve_reject(id);
+                    self.log_rec(&FleetRecord::Rejected { id });
                 }
+                Some(SubmitOutcome::Down(_)) => down = true,
+                Some(SubmitOutcome::Indeterminate(_)) => in_doubt = true,
+                Some(SubmitOutcome::Backpressure { .. }) | None => {}
             }
-            // `Router::abort` pushes to the front of the backlog, so abort
-            // in reverse to keep the backlog in FIFO order.
-            for &id in unplaced.iter().rev() {
-                self.router.abort(id);
-                self.log_rec(&FleetRecord::Abort { id });
+        }
+        let mut unplaced = Vec::new();
+        for &id in fresh {
+            match outcomes.next() {
+                Some(SubmitOutcome::Accepted(local_ids)) => {
+                    let local_id = single_id(&local_ids);
+                    self.router.confirm(id, local_id);
+                    self.booked(id, s, local_id);
+                }
+                Some(SubmitOutcome::Refused(_)) => {
+                    self.router.reject(id);
+                    self.log_rec(&FleetRecord::Rejected { id });
+                }
+                Some(SubmitOutcome::Indeterminate(_)) => {
+                    // The request may have landed. Pin the job to this
+                    // shard; the next round's batch settles it by keyed
+                    // resubmission.
+                    self.router.mark_in_doubt(id);
+                    in_doubt = true;
+                }
+                Some(SubmitOutcome::Down(_)) => {
+                    // Certainly undelivered: safe to re-place.
+                    unplaced.push(id);
+                    down = true;
+                }
+                // Backpressure, or never attempted.
+                Some(SubmitOutcome::Backpressure { .. }) | None => unplaced.push(id),
             }
-            if down {
-                self.view.alive[s] = false;
-            }
-            if down || in_doubt {
-                self.breaker_trip(s);
-            } else {
-                self.heard[s] = load;
-            }
+        }
+        // `Router::abort` pushes to the front of the backlog, so abort in
+        // reverse to keep the backlog in FIFO order.
+        for &id in unplaced.iter().rev() {
+            self.router.abort(id);
+            self.log_rec(&FleetRecord::Abort { id });
+        }
+        if down {
+            self.view.alive[s] = false;
+        }
+        if down || in_doubt {
+            self.breaker_trip(s);
+        } else {
+            self.heard[s] = load;
         }
     }
 
@@ -1073,16 +1258,14 @@ impl Fleet {
         });
     }
 
-    /// Sweep shards and fold job fates into the router. A shard that
-    /// reports `load` is swept every round it holds outstanding jobs, so
-    /// a job that finishes right after its submit is seen this round.
-    /// Any other shard is swept only when the terminal count of this
-    /// round's `metrics` poll moved. Returns how many jobs left the
-    /// outstanding set.
-    fn fold_completions(&mut self) -> usize {
-        let mut folded = 0;
+    /// Sweep live, idle shards and fold job fates into the router. A
+    /// shard that reports `load` is swept every round it holds outstanding
+    /// jobs, so a job that finishes right after its submit is seen this
+    /// round. Any other shard is swept only when the terminal count of
+    /// this round's `metrics` poll moved.
+    fn fold_completions(&mut self) {
         for s in 0..self.cfg.shards {
-            if !self.view.alive[s] {
+            if !self.view.alive[s] || !self.idle(s) {
                 continue;
             }
             let terminal = self.metrics_cache[s].completed + self.metrics_cache[s].dead_lettered;
@@ -1096,62 +1279,72 @@ impl Fleet {
             }
             self.force_sweep[s] = false;
             let locals: Vec<usize> = self.outstanding[s].keys().copied().collect();
-            let phases = if locals.is_empty() {
-                Vec::new()
-            } else {
-                match self.shards[s].job_phases(&locals) {
-                    Ok(phases) => {
-                        debug_assert_eq!(phases.len(), locals.len(), "one phase per job");
-                        // Newer than the submit reply's.
-                        self.heard[s] = self.note_load(s);
-                        phases
-                    }
-                    Err(_) => {
-                        self.heard[s] = None;
-                        self.view.alive[s] = false;
-                        self.breaker_trip(s);
-                        // Jobs may already be terminal, and the count will
-                        // not move for them: sweep again next round instead
-                        // of recording it.
-                        self.force_sweep[s] = true;
-                        continue;
-                    }
-                }
-            };
-            for (local, phase) in locals.into_iter().zip(phases) {
-                let id = self.outstanding[s][&local];
-                match phase {
-                    JobPhase::Pending => continue,
-                    JobPhase::Done => {
-                        self.router.complete(id, s);
-                        self.log_rec(&FleetRecord::Done { id });
-                    }
-                    JobPhase::DeadLetter => {
-                        self.router.dead_letter(id, s);
-                        self.log_rec(&FleetRecord::Dead { id });
-                    }
-                    JobPhase::Rejected => {
-                        // A shard cannot reject after accepting — but a
-                        // recovered journal may surface it; count it as
-                        // dead-lettered so the job is terminal, not lost.
-                        debug_assert!(false, "job {id} rejected after acceptance");
-                        self.router.dead_letter(id, s);
-                        self.log_rec(&FleetRecord::Dead { id });
-                    }
-                    JobPhase::Unknown => {
-                        // This incarnation never heard of the id: the old
-                        // one died without a journal. Route it again.
-                        self.router.requeue_lost(id, &self.view);
-                        self.log_rec(&FleetRecord::Requeue { id });
-                        self.lost_requeues += 1;
-                    }
-                }
-                self.outstanding[s].remove(&local);
-                folded += 1;
+            if locals.is_empty() {
+                self.folded_terminal[s] = terminal;
+                continue;
             }
-            self.folded_terminal[s] = terminal;
+            self.start(
+                s,
+                DataOp::Status(locals.clone()),
+                Pending::Sweep { locals, terminal },
+            );
         }
-        folded
+    }
+
+    /// Fold a settled sweep's phases into the router; the jobs that left
+    /// the outstanding set count towards the round's fold.
+    fn apply_sweep(
+        &mut self,
+        s: usize,
+        locals: Vec<usize>,
+        terminal: usize,
+        phases: Result<Vec<JobPhase>, String>,
+    ) {
+        let Ok(phases) = phases else {
+            self.heard[s] = None;
+            self.view.alive[s] = false;
+            self.breaker_trip(s);
+            // Jobs may already be terminal, and the count will not
+            // move for them: sweep again next round instead of
+            // recording it.
+            self.force_sweep[s] = true;
+            return;
+        };
+        debug_assert_eq!(phases.len(), locals.len(), "one phase per job");
+        // Newer than the submit reply's.
+        self.heard[s] = self.note_load(s);
+        for (local, phase) in locals.into_iter().zip(phases) {
+            let id = self.outstanding[s][&local];
+            match phase {
+                JobPhase::Pending => continue,
+                JobPhase::Done => {
+                    self.router.complete(id, s);
+                    self.log_rec(&FleetRecord::Done { id });
+                }
+                JobPhase::DeadLetter => {
+                    self.router.dead_letter(id, s);
+                    self.log_rec(&FleetRecord::Dead { id });
+                }
+                JobPhase::Rejected => {
+                    // A shard cannot reject after accepting — but a
+                    // recovered journal may surface it; count it as
+                    // dead-lettered so the job is terminal, not lost.
+                    debug_assert!(false, "job {id} rejected after acceptance");
+                    self.router.dead_letter(id, s);
+                    self.log_rec(&FleetRecord::Dead { id });
+                }
+                JobPhase::Unknown => {
+                    // This incarnation never heard of the id: the old one
+                    // died without a journal. Route it again.
+                    self.router.requeue_lost(id, &self.view);
+                    self.log_rec(&FleetRecord::Requeue { id });
+                    self.lost_requeues += 1;
+                }
+            }
+            self.outstanding[s].remove(&local);
+            self.folded += 1;
+        }
+        self.folded_terminal[s] = terminal;
     }
 }
 
@@ -1164,4 +1357,133 @@ fn single_id(local_ids: &[usize]) -> usize {
         local_ids.len()
     );
     local_ids[0]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Arc, Mutex};
+
+    /// What the scripted shards report and do, set by the test.
+    #[derive(Default)]
+    struct Script {
+        demand: Vec<usize>,
+        workers: Vec<usize>,
+        cap_fails: Vec<bool>,
+    }
+
+    /// A shard that answers from a [`Script`]: no service, no sleeps.
+    struct Scripted {
+        shard: usize,
+        script: Arc<Mutex<Script>>,
+    }
+
+    impl ShardBackend for Scripted {
+        fn submit(&mut self, _key: &str, _spec: &str) -> SubmitOutcome {
+            SubmitOutcome::Down("scripted shards take no jobs".into())
+        }
+
+        fn job_phase(&mut self, _local_id: usize) -> Result<JobPhase, String> {
+            Ok(JobPhase::Pending)
+        }
+
+        fn metrics(&mut self) -> Result<ShardMetrics, String> {
+            let script = self.script.lock().expect("script");
+            Ok(ShardMetrics {
+                submitted: script.demand[self.shard],
+                workers_alive: script.workers[self.shard],
+                ..ShardMetrics::default()
+            })
+        }
+
+        fn set_cap(&mut self, _cap_w: f64) -> Result<(), String> {
+            if self.script.lock().expect("script").cap_fails[self.shard] {
+                Err("set_cap lost".into())
+            } else {
+                Ok(())
+            }
+        }
+
+        fn recover(&mut self, _cap_w: f64) -> Result<(), String> {
+            self.script.lock().expect("script").workers[self.shard] = 1;
+            Ok(())
+        }
+
+        fn begin_shutdown(&mut self) {}
+
+        fn finish(&mut self) {}
+
+        fn kind(&self) -> &'static str {
+            "local"
+        }
+    }
+
+    /// Two scripted shards under a 40 W cluster cap, started with demands
+    /// 30 and 1, so the start-up partition gives shard 0 the larger cap.
+    fn scripted_fleet() -> (Fleet, Arc<Mutex<Script>>) {
+        let script = Arc::new(Mutex::new(Script {
+            demand: vec![30, 1],
+            workers: vec![1, 1],
+            cap_fails: vec![false, false],
+        }));
+        let shards = (0..2)
+            .map(|shard| {
+                Box::new(Scripted {
+                    shard,
+                    script: Arc::clone(&script),
+                }) as Box<dyn ShardBackend>
+            })
+            .collect();
+        let fleet = Fleet::new(FleetConfig::new(2, 1, 40.0), shards).expect("fleet");
+        assert!(fleet.caps_w[0] > fleet.caps_w[1]);
+        (fleet, script)
+    }
+
+    #[test]
+    fn a_failed_lower_is_reserved_before_any_raise() {
+        let (mut fleet, script) = scripted_fleet();
+        {
+            // Demand flips to shard 1, and shard 0 loses every `set_cap`:
+            // its lower fails, so it may still run under its old cap.
+            let mut script = script.lock().expect("script");
+            script.demand = vec![1, 30];
+            script.cap_fails[0] = true;
+        }
+        for _ in 0..fleet.cfg.rebalance_every {
+            fleet.pump();
+        }
+        let m = fleet.metrics();
+        assert!(m.rebalances > 1, "no rebalance ran");
+        assert!(
+            m.max_cap_sum_w <= m.cluster_cap_w + 1e-9,
+            "booked caps {:?} peaked at {} W over a {} W cluster cap",
+            m.caps_w,
+            m.max_cap_sum_w,
+            m.cluster_cap_w
+        );
+    }
+
+    #[test]
+    fn recovery_spends_no_budget_a_failed_lower_still_holds() {
+        let (mut fleet, script) = scripted_fleet();
+        {
+            // Shard 1's workers die; then demand flips to it, and shard 0
+            // loses every `set_cap`.
+            let mut script = script.lock().expect("script");
+            script.workers[1] = 0;
+            script.demand = vec![1, 30];
+        }
+        fleet.refresh();
+        assert!(!fleet.view.alive[1], "shard 1 reads dead");
+        script.lock().expect("script").cap_fails[0] = true;
+        fleet.recover_shard(1).expect("recover");
+        let m = fleet.metrics();
+        assert!(
+            m.max_cap_sum_w <= m.cluster_cap_w + 1e-9,
+            "booked caps {:?} peaked at {} W over a {} W cluster cap",
+            m.caps_w,
+            m.max_cap_sum_w,
+            m.cluster_cap_w
+        );
+    }
 }

@@ -63,5 +63,6 @@ pub use net::{
 pub use placement::{HashRing, LeastLoaded, Placement, ShardView};
 pub use router::{FleetJob, FleetJobId, JobLoc, Router, Steal};
 pub use shard::{
-    start_local_shards, JobPhase, LocalShard, ShardBackend, ShardMetrics, SubmitOutcome,
+    start_local_shards, DataOp, DataReply, JobPhase, LocalShard, ShardBackend, ShardMetrics,
+    SubmitOutcome,
 };

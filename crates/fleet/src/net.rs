@@ -28,7 +28,7 @@
 //!   key to the same shard, which makes double dispatch across a
 //!   partition heal impossible by construction.
 
-use crate::shard::{JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
+use crate::shard::{DataOp, DataReply, JobPhase, ShardBackend, ShardMetrics, SubmitOutcome};
 use corun_core::{jittered_backoff_s, Clock, DetRng, WallClock};
 use corun_serve::json::obj;
 use corun_serve::{handle_request, Json, LoadSnapshot, Service, PROTOCOL_VERSION};
@@ -576,6 +576,10 @@ pub struct RpcSnapshot {
     pub fenced: u64,
     /// Replies rejected for a wrong sequence echo or parse failure.
     pub desyncs: u64,
+    /// Retry backoffs the link waited out.
+    pub backoffs: u64,
+    /// Seconds on the link's clock spent waiting in those backoffs.
+    pub backoff_s: f64,
     /// Median successful-op latency, milliseconds (over a ring of the
     /// last 256 ops).
     pub p50_ms: f64,
@@ -592,6 +596,8 @@ struct RpcStats {
     reconnects: u64,
     fenced: u64,
     desyncs: u64,
+    backoffs: u64,
+    backoff_s: f64,
     latencies_s: Vec<f64>,
     next: usize,
 }
@@ -629,6 +635,8 @@ impl RpcStats {
             reconnects: self.reconnects,
             fenced: self.fenced,
             desyncs: self.desyncs,
+            backoffs: self.backoffs,
+            backoff_s: self.backoff_s,
             p50_ms: self.percentile_ms(0.50),
             p99_ms: self.percentile_ms(0.99),
         }
@@ -638,6 +646,12 @@ impl RpcStats {
 /// A shard driven over any [`RawTransport`] with deadlines, bounded
 /// retries, sequence-echo matching, and epoch/boot fencing. The
 /// workhorse [`ShardBackend`]; [`RemoteShard`] is the TCP instantiation.
+///
+/// The link is idle, or it holds one data op whose RPC is backing off
+/// until a time on the injected clock ([`ShardBackend::start_op`],
+/// [`ShardBackend::poll_op`]). So a retry is a wake-up the caller polls
+/// for, not a sleep on the caller's thread. The synchronous methods and
+/// the control ops run the same steps and sleep out each backoff.
 pub struct RpcShard<T: RawTransport> {
     raw: T,
     cfg: NetConfig,
@@ -656,6 +670,31 @@ pub struct RpcShard<T: RawTransport> {
     /// The `load` of the last keyed-batch `submit` or multi-id `status`
     /// reply, until [`ShardBackend::take_load`] takes it or a call fails.
     load: Option<LoadSnapshot>,
+    /// The data op the link holds while its RPC backs off.
+    parked: Option<Parked>,
+}
+
+/// One RPC in progress: the stamped request and where its retries stand.
+struct Op {
+    seq: u64,
+    line: String,
+    /// Attempts made so far.
+    attempt: u32,
+    /// The op's deadline on the link's clock, across all attempts.
+    deadline: f64,
+    /// When the op began waiting out its current backoff.
+    parked_at: Option<f64>,
+    /// Once any attempt fails *after* the send, the op can no longer be
+    /// reported as certainly-undelivered.
+    maybe_delivered: bool,
+    last: NetError,
+}
+
+/// Where one [`RpcShard::step`] left an [`Op`].
+enum Step {
+    Settled(Result<Json, NetError>),
+    /// Retry once the link's clock reaches this time.
+    RetryAt(f64),
 }
 
 impl<T: RawTransport> RpcShard<T> {
@@ -672,54 +711,58 @@ impl<T: RawTransport> RpcShard<T> {
             incarnation_changed: false,
             stats: RpcStats::default(),
             load: None,
+            parked: None,
         }
     }
 
-    /// One deadline-bounded, retried call. `fields` must not contain
-    /// `seq` — it is stamped here and checked against the reply's echo.
-    fn call(&mut self, mut fields: Vec<(&str, Json)>) -> Result<Json, NetError> {
+    /// Stamp a new op. `fields` must not contain `seq`: it is stamped
+    /// here and checked against the reply's echo.
+    fn begin(&mut self, mut fields: Vec<(&str, Json)>) -> Op {
         self.seq += 1;
         let seq = self.seq;
         fields.push(("seq", Json::Num(seq as f64)));
-        let line = obj(fields).render();
-        let deadline = self.clock.now_s() + self.cfg.op_timeout_s;
         self.stats.ops += 1;
-        let mut last = NetError::Timeout("op deadline exhausted".into());
-        // Once any attempt fails *after* the send, the op can no longer
-        // be reported as certainly-undelivered.
-        let mut maybe_delivered = false;
-        for attempt in 0..self.cfg.attempts.max(1) {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                self.stats.reconnects += 1;
-                let _ = self.raw.reconnect();
-                let remaining = deadline - self.clock.now_s();
-                if remaining <= 0.0 {
-                    break;
-                }
-                let (base, max) = (self.cfg.backoff_base_s, self.cfg.backoff_max_s);
-                let unit = self.rng.next_unit();
-                let delay = jittered_backoff_s(base, attempt, 0.0, unit, max).min(remaining);
-                if delay > 0.0 {
-                    // Backoff pacing at the I/O edge: a real sleep whatever
-                    // the clock. Under a ManualClock it still sleeps real
-                    // time and the manual clock does not advance.
-                    std::thread::sleep(Duration::from_secs_f64(delay.min(1.0)));
-                }
+        Op {
+            seq,
+            line: obj(fields).render(),
+            attempt: 0,
+            deadline: self.clock.now_s() + self.cfg.op_timeout_s,
+            parked_at: None,
+            maybe_delivered: false,
+            last: NetError::Timeout("op deadline exhausted".into()),
+        }
+    }
+
+    /// One deadline-bounded, retried call that sleeps out its backoffs.
+    fn call(&mut self, fields: Vec<(&str, Json)>) -> Result<Json, NetError> {
+        debug_assert!(self.parked.is_none(), "a call on a link that holds an op");
+        let mut op = self.begin(fields);
+        loop {
+            match self.step(&mut op) {
+                Step::Settled(result) => return result,
+                Step::RetryAt(t) => self.sleep_until(t),
             }
-            if self.clock.now_s() >= deadline {
-                break;
-            }
+        }
+    }
+
+    /// The one retry body: attempt `op` until it settles or a retry has
+    /// to wait, reconnecting before each retry and drawing its jittered
+    /// backoff.
+    fn step(&mut self, op: &mut Op) -> Step {
+        if let Some(t) = op.parked_at.take() {
+            self.stats.backoff_s += (self.clock.now_s() - t).max(0.0);
+        }
+        while self.clock.now_s() < op.deadline {
             let t0 = self.clock.now_s();
-            match self.raw.exchange(&line) {
-                Ok(reply) => match self.accept_reply(seq, &reply) {
+            match self.raw.exchange(&op.line) {
+                Ok(reply) => match self.accept_reply(op.seq, &reply) {
                     Ok(json) => {
                         self.stats.record_latency(self.clock.now_s() - t0);
-                        return Ok(json);
+                        return Step::Settled(Ok(json));
                     }
                     Err(e) => {
-                        maybe_delivered = true;
-                        last = e;
+                        op.maybe_delivered = true;
+                        op.last = e;
                     }
                 },
                 Err(e) => {
@@ -727,20 +770,52 @@ impl<T: RawTransport> RpcShard<T> {
                         self.stats.timeouts += 1;
                     }
                     if !e.certainly_undelivered() {
-                        maybe_delivered = true;
+                        op.maybe_delivered = true;
                     }
-                    last = e;
+                    op.last = e;
                 }
             }
-        }
-        if maybe_delivered && last.certainly_undelivered() {
-            // Do not let a final connect failure mask an earlier
-            // possibly-delivered attempt.
-            last = NetError::Timeout("retried after a possibly-delivered attempt".into());
+            op.attempt += 1;
+            if op.attempt >= self.cfg.attempts.max(1) {
+                break;
+            }
+            self.stats.retries += 1;
+            self.stats.reconnects += 1;
+            let _ = self.raw.reconnect();
+            let now = self.clock.now_s();
+            let remaining = op.deadline - now;
+            if remaining <= 0.0 {
+                break;
+            }
+            let (base, max) = (self.cfg.backoff_base_s, self.cfg.backoff_max_s);
+            let unit = self.rng.next_unit();
+            let delay = jittered_backoff_s(base, op.attempt, 0.0, unit, max).min(remaining);
+            if delay > 0.0 {
+                self.stats.backoffs += 1;
+                op.parked_at = Some(now);
+                return Step::RetryAt(now + delay);
+            }
         }
         // An older reply's load must not pass for a heartbeat after this.
         self.load = None;
-        Err(last)
+        if op.maybe_delivered && op.last.certainly_undelivered() {
+            // Do not let a final connect failure mask an earlier
+            // possibly-delivered attempt.
+            return Step::Settled(Err(NetError::Timeout(
+                "retried after a possibly-delivered attempt".into(),
+            )));
+        }
+        Step::Settled(Err(op.last.clone()))
+    }
+
+    /// Block until the link's clock reads `t`, at most one second: the
+    /// blocking callers' backoff. Under a [`corun_core::ManualClock`]
+    /// this sleeps the wait in real time and the clock stays put.
+    fn sleep_until(&self, t: f64) {
+        let wait = t - self.clock.now_s();
+        if wait > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(wait.min(1.0)));
+        }
     }
 
     /// Validate one reply: parse, sequence echo, fencing identity.
@@ -837,16 +912,176 @@ const BATCH_FRAME_BYTES: usize = corun_serve::MAX_FRAME_BYTES / 2;
 /// plus a comma.
 const IDS_PER_FRAME: usize = BATCH_FRAME_BYTES / 21;
 
+/// A data op's progress on one link: the chunks still to send and the
+/// answers folded so far. Each chunk is one RPC.
+enum Run {
+    Submit {
+        /// Items in the chunk in flight.
+        sent: usize,
+        rest: std::vec::IntoIter<Vec<Json>>,
+        outcomes: Vec<SubmitOutcome>,
+    },
+    Status {
+        /// Ids in the chunk in flight.
+        sent: usize,
+        rest: std::vec::IntoIter<Vec<usize>>,
+        phases: Vec<JobPhase>,
+    },
+    Metrics,
+}
+
+/// What a [`Run`] does after a chunk settles.
+enum Next {
+    /// Send one more RPC with these fields.
+    Send(Vec<(&'static str, Json)>),
+    /// The op settled with this reply.
+    Done(DataReply),
+}
+
+/// A data op whose RPC is backing off until `wake_at` on the link's
+/// clock.
+struct Parked {
+    run: Run,
+    rpc: Op,
+    wake_at: f64,
+}
+
+impl Run {
+    fn new(op: DataOp) -> Run {
+        match op {
+            DataOp::Submit(items) => Run::Submit {
+                sent: 0,
+                outcomes: Vec::with_capacity(items.len()),
+                rest: submit_chunks(items).into_iter(),
+            },
+            DataOp::Status(ids) => Run::Status {
+                sent: 0,
+                phases: Vec::with_capacity(ids.len()),
+                rest: ids
+                    .chunks(IDS_PER_FRAME)
+                    .map(<[usize]>::to_vec)
+                    .collect::<Vec<_>>()
+                    .into_iter(),
+            },
+            DataOp::Metrics => Run::Metrics,
+        }
+    }
+
+    /// The next chunk's RPC, or the reply once none is left.
+    fn next(&mut self) -> Next {
+        match self {
+            Run::Submit {
+                sent,
+                rest,
+                outcomes,
+            } => match rest.next() {
+                Some(items) => {
+                    *sent = items.len();
+                    Next::Send(vec![
+                        ("op", Json::Str("submit".into())),
+                        ("items", Json::Arr(items)),
+                    ])
+                }
+                None => Next::Done(DataReply::Submit(std::mem::take(outcomes))),
+            },
+            Run::Status { sent, rest, phases } => match rest.next() {
+                Some(ids) => {
+                    *sent = ids.len();
+                    let ids = ids.into_iter().map(|id| Json::Num(id as f64)).collect();
+                    Next::Send(vec![
+                        ("op", Json::Str("status".into())),
+                        ("ids", Json::Arr(ids)),
+                    ])
+                }
+                None => Next::Done(DataReply::Status(Ok(std::mem::take(phases)))),
+            },
+            Run::Metrics => Next::Send(vec![("op", Json::Str("metrics".into()))]),
+        }
+    }
+}
+
+/// Greedy chunks of rendered `{key, spec}` items, each within the frame
+/// budget.
+fn submit_chunks(items: Vec<(String, String)>) -> Vec<Vec<Json>> {
+    let mut chunks: Vec<Vec<Json>> = Vec::new();
+    let mut bytes = 0;
+    for (key, spec) in items {
+        let item = obj(vec![("key", Json::Str(key)), ("spec", Json::Str(spec))]);
+        let len = item.render().len() + 1;
+        match chunks.last_mut() {
+            Some(chunk) if bytes + len <= BATCH_FRAME_BYTES => chunk.push(item),
+            _ => {
+                chunks.push(vec![item]);
+                bytes = 0;
+            }
+        }
+        bytes += len;
+    }
+    chunks
+}
+
 impl<T: RawTransport> RpcShard<T> {
-    /// One keyed batch `submit` RPC over `items` (rendered `{key, spec}`
-    /// objects): one outcome per item.
-    fn submit_items(&mut self, items: Vec<Json>) -> Vec<SubmitOutcome> {
-        let n = items.len();
+    /// Drive `run` from `rpc` (or from its next chunk): step each RPC and
+    /// fold each settled one, until the op settles or, unless `block`,
+    /// an RPC has to back off. Then the link parks the op.
+    fn advance(&mut self, mut run: Run, rpc: Option<Op>, block: bool) -> Option<DataReply> {
+        let mut rpc = match rpc {
+            Some(rpc) => rpc,
+            None => match run.next() {
+                Next::Send(fields) => self.begin(fields),
+                Next::Done(reply) => return Some(reply),
+            },
+        };
+        loop {
+            match self.step(&mut rpc) {
+                Step::RetryAt(t) if block => self.sleep_until(t),
+                Step::RetryAt(wake_at) => {
+                    self.parked = Some(Parked { run, rpc, wake_at });
+                    return None;
+                }
+                Step::Settled(result) => match self.absorb(&mut run, result) {
+                    Next::Send(fields) => rpc = self.begin(fields),
+                    Next::Done(reply) => return Some(reply),
+                },
+            }
+        }
+    }
+
+    /// Fold one settled chunk into `run`.
+    fn absorb(&mut self, run: &mut Run, result: Result<Json, NetError>) -> Next {
+        match run {
+            Run::Submit { sent, outcomes, .. } => {
+                let got = self.submit_outcomes(*sent, result);
+                let settled = got
+                    .iter()
+                    .all(|o| matches!(o, SubmitOutcome::Accepted(_) | SubmitOutcome::Refused(_)));
+                outcomes.extend(got);
+                if !settled {
+                    // As in the per-item default: the rest stay unattempted.
+                    return Next::Done(DataReply::Submit(std::mem::take(outcomes)));
+                }
+            }
+            Run::Status { sent, phases, .. } => match self.status_phases(*sent, result) {
+                Ok(got) => phases.extend(got),
+                Err(e) => return Next::Done(DataReply::Status(Err(e))),
+            },
+            Run::Metrics => return Next::Done(DataReply::Metrics(metrics_of(result))),
+        }
+        run.next()
+    }
+
+    /// A data op run to the end, sleeping out its backoffs.
+    fn run_blocking(&mut self, op: DataOp) -> DataReply {
+        debug_assert!(self.parked.is_none(), "a call on a link that holds an op");
+        self.advance(Run::new(op), None, true)
+            .expect("a blocking run settles")
+    }
+
+    /// The outcomes one keyed batch `submit` RPC over `n` items stands
+    /// for: one per item.
+    fn submit_outcomes(&mut self, n: usize, result: Result<Json, NetError>) -> Vec<SubmitOutcome> {
         let all = |outcome: SubmitOutcome| vec![outcome; n];
-        let r = match self.call(vec![
-            ("op", Json::Str("submit".into())),
-            ("items", Json::Arr(items)),
-        ]) {
+        let r = match result {
             Ok(r) => r,
             // Never delivered: safe to abort and re-place. Anything else
             // may have landed on the shard — keyed resolution decides.
@@ -871,6 +1106,41 @@ impl<T: RawTransport> RpcShard<T> {
             },
         }
     }
+
+    /// The phases one multi-id `status` RPC over `n` ids answered.
+    fn status_phases(
+        &mut self,
+        n: usize,
+        result: Result<Json, NetError>,
+    ) -> Result<Vec<JobPhase>, String> {
+        let r = result.map_err(|e| e.to_string())?;
+        self.load = load_of(&r);
+        if let Some(code) = r.get("error").and_then(Json::as_str) {
+            let msg = r.get("message").and_then(Json::as_str);
+            return Err(msg.unwrap_or(code).to_string());
+        }
+        match r.get("phases").and_then(Json::as_arr) {
+            Some(got) if got.len() == n => Ok(got.iter().map(|p| phase_of(p.as_str())).collect()),
+            _ => Err(format!("{}: malformed phases reply", self.raw.peer())),
+        }
+    }
+}
+
+/// The snapshot a `metrics` reply carries.
+fn metrics_of(result: Result<Json, NetError>) -> Result<ShardMetrics, String> {
+    let m = result.map_err(|e| e.to_string())?;
+    let num = |k: &str| m.get(k).and_then(Json::as_index).unwrap_or(0);
+    Ok(ShardMetrics {
+        queue_depth: num("queue_depth"),
+        submitted: num("submitted"),
+        completed: num("completed"),
+        dead_lettered: num("dead_lettered"),
+        workers_alive: num("workers_alive"),
+        machines: num("machines"),
+        cap_w: m.get("cap_w").and_then(Json::as_f64).unwrap_or(0.0),
+        cap_violations: num("cap_violations"),
+        cap_samples: num("cap_samples"),
+    })
 }
 
 /// The outcome one keyed `submit` reply stands for — a whole single-item
@@ -950,80 +1220,42 @@ impl<T: RawTransport> ShardBackend for RpcShard<T> {
     }
 
     fn submit_batch(&mut self, items: &[(String, String)]) -> Vec<SubmitOutcome> {
-        // Greedy chunks, each rendering within the frame budget.
-        let mut chunks: Vec<Vec<Json>> = Vec::new();
-        let mut bytes = 0;
-        for (key, spec) in items {
-            let item = obj(vec![
-                ("key", Json::Str(key.clone())),
-                ("spec", Json::Str(spec.clone())),
-            ]);
-            let len = item.render().len() + 1;
-            match chunks.last_mut() {
-                Some(chunk) if bytes + len <= BATCH_FRAME_BYTES => chunk.push(item),
-                _ => {
-                    chunks.push(vec![item]);
-                    bytes = 0;
-                }
-            }
-            bytes += len;
-        }
-        let mut outcomes = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            let sent = self.submit_items(chunk);
-            let settled = sent
-                .iter()
-                .all(|o| matches!(o, SubmitOutcome::Accepted(_) | SubmitOutcome::Refused(_)));
-            outcomes.extend(sent);
-            if !settled {
-                // As in the per-item default: the rest stay unattempted.
-                break;
-            }
-        }
+        let DataReply::Submit(outcomes) = self.run_blocking(DataOp::Submit(items.to_vec())) else {
+            unreachable!("a submit op settles as a submit reply")
+        };
         outcomes
     }
 
     fn job_phases(&mut self, local_ids: &[usize]) -> Result<Vec<JobPhase>, String> {
-        let mut phases = Vec::with_capacity(local_ids.len());
-        for chunk in local_ids.chunks(IDS_PER_FRAME) {
-            let ids = chunk.iter().map(|&id| Json::Num(id as f64)).collect();
-            let r = self
-                .call(vec![
-                    ("op", Json::Str("status".into())),
-                    ("ids", Json::Arr(ids)),
-                ])
-                .map_err(|e| e.to_string())?;
-            self.load = load_of(&r);
-            if let Some(code) = r.get("error").and_then(Json::as_str) {
-                let msg = r.get("message").and_then(Json::as_str);
-                return Err(msg.unwrap_or(code).to_string());
-            }
-            match r.get("phases").and_then(Json::as_arr) {
-                Some(got) if got.len() == chunk.len() => {
-                    phases.extend(got.iter().map(|p| phase_of(p.as_str())));
-                }
-                _ => return Err(format!("{}: malformed phases reply", self.raw.peer())),
-            }
-        }
-        Ok(phases)
+        let DataReply::Status(phases) = self.run_blocking(DataOp::Status(local_ids.to_vec()))
+        else {
+            unreachable!("a status op settles as a status reply")
+        };
+        phases
     }
 
     fn metrics(&mut self) -> Result<ShardMetrics, String> {
-        let m = self
-            .call(vec![("op", Json::Str("metrics".into()))])
-            .map_err(|e| e.to_string())?;
-        let num = |k: &str| m.get(k).and_then(Json::as_index).unwrap_or(0);
-        Ok(ShardMetrics {
-            queue_depth: num("queue_depth"),
-            submitted: num("submitted"),
-            completed: num("completed"),
-            dead_lettered: num("dead_lettered"),
-            workers_alive: num("workers_alive"),
-            machines: num("machines"),
-            cap_w: m.get("cap_w").and_then(Json::as_f64).unwrap_or(0.0),
-            cap_violations: num("cap_violations"),
-            cap_samples: num("cap_samples"),
-        })
+        let DataReply::Metrics(m) = self.run_blocking(DataOp::Metrics) else {
+            unreachable!("a metrics op settles as a metrics reply")
+        };
+        m
+    }
+
+    fn start_op(&mut self, op: DataOp) -> Option<DataReply> {
+        debug_assert!(self.parked.is_none(), "a link holds one op at a time");
+        self.advance(Run::new(op), None, false)
+    }
+
+    fn poll_op(&mut self, block: bool) -> Option<DataReply> {
+        let Parked { run, rpc, wake_at } = self.parked.take()?;
+        if self.clock.now_s() < wake_at {
+            if !block {
+                self.parked = Some(Parked { run, rpc, wake_at });
+                return None;
+            }
+            self.sleep_until(wake_at);
+        }
+        self.advance(run, Some(rpc), block)
     }
 
     fn set_cap(&mut self, cap_w: f64) -> Result<(), String> {

@@ -93,6 +93,29 @@ impl ShardMetrics {
     }
 }
 
+/// A data-path request the coordinator starts on a shard's link with
+/// [`ShardBackend::start_op`] and drives until it settles.
+#[derive(Debug, Clone)]
+pub enum DataOp {
+    /// Keyed `(key, spec)` items, as [`ShardBackend::submit_batch`].
+    Submit(Vec<(String, String)>),
+    /// Phases of shard-local ids, as [`ShardBackend::job_phases`].
+    Status(Vec<usize>),
+    /// A heartbeat or probe, as [`ShardBackend::metrics`].
+    Metrics,
+}
+
+/// A settled [`DataOp`]'s answer, with the synchronous method's meaning.
+#[derive(Debug, Clone)]
+pub enum DataReply {
+    /// One outcome per attempted item.
+    Submit(Vec<SubmitOutcome>),
+    /// One phase per id, or the shard is down.
+    Status(Result<Vec<JobPhase>, String>),
+    /// The snapshot, or the shard is down.
+    Metrics(Result<ShardMetrics, String>),
+}
+
 /// One shard as the coordinator drives it.
 pub trait ShardBackend: Send {
     /// Submit one spec fragment under a fleet-unique idempotency `key`.
@@ -135,6 +158,28 @@ pub trait ShardBackend: Send {
 
     /// Metrics snapshot. `Err` means the shard is down.
     fn metrics(&mut self) -> Result<ShardMetrics, String>;
+
+    /// Start a data op on this shard's link: `Some` when it settled at
+    /// once, `None` when the link holds it while a retry backs off.
+    /// [`ShardBackend::poll_op`] then drives it. A link holds at most one
+    /// op, and a caller sends nothing else on it until that op settles.
+    /// This default runs the synchronous method inline.
+    fn start_op(&mut self, op: DataOp) -> Option<DataReply> {
+        Some(match op {
+            DataOp::Submit(items) => DataReply::Submit(self.submit_batch(&items)),
+            DataOp::Status(ids) => DataReply::Status(self.job_phases(&ids)),
+            DataOp::Metrics => DataReply::Metrics(self.metrics()),
+        })
+    }
+
+    /// Drive the op the link holds and return its reply once it settles.
+    /// Without `block` this makes an attempt only when the op's wake-up
+    /// is due, and otherwise returns `None` at once; with `block` it
+    /// waits out every backoff and settles. `None` also when the link
+    /// holds nothing, which is always the case for this default.
+    fn poll_op(&mut self, _block: bool) -> Option<DataReply> {
+        None
+    }
 
     /// Push a rebalanced power cap.
     fn set_cap(&mut self, cap_w: f64) -> Result<(), String>;

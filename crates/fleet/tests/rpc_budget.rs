@@ -6,9 +6,10 @@
 //! budget. A batch whose reply is lost puts every
 //! one of its jobs in doubt, and the next round's one keyed batch settles
 //! them all. A daemon that sends no `load` (protocol 2) is still polled
-//! and swept by its terminal count.
+//! and swept by its terminal count. A shard with nothing outstanding and
+//! nothing to submit gets its `metrics` heartbeat on the probe cadence.
 
-use corun_core::WallClock;
+use corun_core::{Clock, ManualClock, WallClock};
 use corun_fleet::net::LocalRaw;
 use corun_fleet::{Fleet, FleetConfig, NetConfig, NetError, RawTransport, RpcShard, ShardBackend};
 use corun_serve::{Json, Service, ServiceConfig};
@@ -111,6 +112,15 @@ fn start_services(shards: usize) -> Vec<Arc<Service>> {
 
 /// A fleet over counting transports in `mode`.
 fn counted_fleet(services: &[Arc<Service>], mode: Mode) -> (Fleet, Vec<Arc<Tally>>) {
+    counted_fleet_on(services, mode, Arc::new(WallClock::new()))
+}
+
+/// [`counted_fleet`] with its links reading `clock`.
+fn counted_fleet_on(
+    services: &[Arc<Service>],
+    mode: Mode,
+    clock: Arc<dyn Clock>,
+) -> (Fleet, Vec<Arc<Tally>>) {
     let tallies: Vec<Arc<Tally>> = services.iter().map(|_| Arc::default()).collect();
     let backends = services
         .iter()
@@ -127,7 +137,7 @@ fn counted_fleet(services: &[Arc<Service>], mode: Mode) -> (Fleet, Vec<Arc<Tally
             Box::new(RpcShard::over(
                 raw,
                 NetConfig::default(),
-                Arc::new(WallClock::new()),
+                Arc::clone(&clock),
             )) as Box<dyn ShardBackend>
         })
         .collect();
@@ -172,22 +182,42 @@ fn pump_to_drain(
         assert!(rounds < ROUND_LIMIT, "the fleet did not drain");
         let folded = fleet.pump();
         rounds += 1;
-        let sent: Vec<[usize; 3]> = tallies
-            .iter()
-            .zip(&mut before)
-            .map(|(t, before)| {
-                let now = t.counts();
-                let sent = [0, 1, 2].map(|i| now[i] - before[i]);
-                *before = now;
-                sent
-            })
-            .collect();
-        on_round(rounds, &sent);
+        on_round(rounds, &sent_since(tallies, &mut before));
         if folded == 0 {
             std::thread::sleep(Duration::from_millis(2));
         }
     }
     rounds
+}
+
+/// Pump `rounds` rounds, handing `on_round` the fleet's round number
+/// and each shard's `[submits, statuses, metrics]` sent during it.
+fn pump_rounds(
+    fleet: &mut Fleet,
+    tallies: &[Arc<Tally>],
+    rounds: u64,
+    mut on_round: impl FnMut(u64, &[[usize; 3]]),
+) {
+    let mut before: Vec<[usize; 3]> = tallies.iter().map(|t| t.counts()).collect();
+    for _ in 0..rounds {
+        fleet.pump();
+        on_round(fleet.metrics().rounds, &sent_since(tallies, &mut before));
+    }
+}
+
+/// Each shard's `[submits, statuses, metrics]` sent since `before`,
+/// which moves up to now.
+fn sent_since(tallies: &[Arc<Tally>], before: &mut [[usize; 3]]) -> Vec<[usize; 3]> {
+    tallies
+        .iter()
+        .zip(before)
+        .map(|(t, before)| {
+            let now = t.counts();
+            let sent = [0, 1, 2].map(|i| now[i] - before[i]);
+            *before = now;
+            sent
+        })
+        .collect()
 }
 
 fn shutdown(mut fleet: Fleet, services: &[Arc<Service>]) {
@@ -233,13 +263,21 @@ fn submit_and_status_calls_grow_with_rounds_not_jobs() {
 fn a_lost_batch_reply_is_settled_by_one_keyed_batch() {
     const JOBS: usize = 40;
     let services = start_services(2);
-    let (mut fleet, tallies) = counted_fleet(&services, Mode::CutFirstBatch);
+    let clock = ManualClock::new();
+    let (mut fleet, tallies) =
+        counted_fleet_on(&services, Mode::CutFirstBatch, Arc::new(clock.clone()));
     fleet
         .submit_spec(&format!("srad x0.05 *{JOBS}\n"))
         .expect("submit");
-    // Round 1: every attempt at shard 0's batch loses its reply after
-    // the shard admitted the jobs.
+    // Every attempt at shard 0's first batch loses its reply after the
+    // shard admitted the jobs. Round 1 makes the first attempt; each
+    // round after a backoff's wake-up makes the next.
+    let net = NetConfig::default();
     fleet.pump();
+    for _ in 1..net.attempts {
+        clock.advance(net.backoff_max_s);
+        fleet.pump();
+    }
     let in_doubt = fleet.metrics().in_doubt;
     assert!(
         in_doubt > 1,
@@ -250,7 +288,7 @@ fn a_lost_batch_reply_is_settled_by_one_keyed_batch() {
         services[0].job_count(),
         "every job of the lost batch is in doubt"
     );
-    // Round 2: one keyed batch settles them all by dedup.
+    // The next round: one keyed batch settles them all by dedup.
     let before = tallies[0].submits.load(Ordering::SeqCst);
     fleet.pump();
     assert_eq!(fleet.metrics().in_doubt, 0);
@@ -318,6 +356,47 @@ fn a_daemon_without_load_drains_through_metrics_polls_and_the_count_gate() {
     for t in &tallies {
         // The start-up poll, then one per round.
         assert_eq!(t.counts()[2], 1 + rounds as usize);
+    }
+    shutdown(fleet, &services);
+}
+
+#[test]
+fn a_quiet_shard_gets_its_heartbeat_on_the_probe_cadence() {
+    const JOBS: usize = 40;
+    const IDLE_ROUNDS: u64 = 40;
+    let services = start_services(2);
+    let (mut fleet, tallies) = counted_fleet(&services, Mode::Clean);
+    fleet
+        .submit_spec(&format!("srad x0.05 *{JOBS}\n"))
+        .expect("submit");
+    pump_to_drain(&mut fleet, &tallies, |_, _| {});
+    assert_exactly_once(&fleet, &services, JOBS);
+    // Drained: nothing outstanding and nothing to submit. Rebalance
+    // rounds still poll in full; the other rounds send each shard
+    // `metrics` once per probe period at most.
+    let rebalance_every = fleet.config().rebalance_every as u64;
+    let probe_every = fleet.config().probe_every_rounds;
+    let mut polls = [0u64; 2];
+    let mut heartbeats = [0u64; 2];
+    pump_rounds(&mut fleet, &tallies, IDLE_ROUNDS, |round, sent| {
+        for (s, [_, _, metrics]) in sent.iter().copied().enumerate() {
+            polls[s] += metrics as u64;
+            if !round.is_multiple_of(rebalance_every) {
+                heartbeats[s] += metrics as u64;
+            }
+        }
+    });
+    for s in 0..2 {
+        assert!(
+            heartbeats[s] <= IDLE_ROUNDS / probe_every + 1,
+            "shard {s} heard {} heartbeats in {IDLE_ROUNDS} quiet rounds (probe every {probe_every})",
+            heartbeats[s]
+        );
+        assert!(
+            polls[s] >= IDLE_ROUNDS / probe_every.max(rebalance_every),
+            "shard {s} was polled only {} times in {IDLE_ROUNDS} rounds",
+            polls[s]
+        );
     }
     shutdown(fleet, &services);
 }

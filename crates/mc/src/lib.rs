@@ -17,7 +17,7 @@
 //! proves holds for the daemon, modulo only the thin driver layer
 //! (locks, sockets, wall-clock gates).
 //!
-//! [`explore`] runs a breadth-first search with visited-state
+//! [`explore()`] runs a breadth-first search with visited-state
 //! memoization; the first violation is therefore reached by a minimal
 //! event schedule, rendered as an MC0xx diagnostic with the full trace
 //! (see `docs/MODELCHECK.md` for the catalog). [`Mutation`] seeds a

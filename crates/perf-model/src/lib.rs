@@ -5,7 +5,7 @@
 //!
 //! * [`profile`] — standalone profiles `l_{i,p,f}` with bandwidth demand
 //!   and solo power at every frequency level.
-//! * [`characterize`] — sweeps the Figure-4 micro-benchmark over the
+//! * [`characterize`](mod@characterize) — sweeps the Figure-4 micro-benchmark over the
 //!   (CPU demand x GPU demand) grid at a small set of frequency stages to
 //!   build the co-run degradation space of Figures 5 and 6.
 //! * [`surface`] — the degradation space representation with bilinear
@@ -18,7 +18,7 @@
 //! * [`probe`] — the O(N) LLC-vulnerability probe (extension).
 //! * [`persist`] — versioned on-disk caching of profiles/stages/bundles.
 //! * [`validate`] — leave-one-out surface cross-validation.
-//! * [`sensitivity`] — frequency-sensitivity indices from profiles.
+//! * [`sensitivity`](mod@sensitivity) — frequency-sensitivity indices from profiles.
 
 pub mod characterize;
 pub mod persist;

@@ -2,7 +2,7 @@
 //!
 //! One request object per line, one response object per line. Every
 //! response carries `"ok"`; failures add `"error"` (a stable machine
-//! code, see [`docs/SERVICE.md`]) and a human `"message"`. The full
+//! code, see `docs/SERVICE.md`) and a human `"message"`. The full
 //! schema catalogue lives in `docs/SERVICE.md`.
 //!
 //! [`handle_request`] is the single entry point — the TCP server feeds it

@@ -18,7 +18,7 @@
 //!
 //! State-machine discipline: every job/queue/counter mutation goes
 //! through the pure transition functions of
-//! [`ServiceState`](crate::state::ServiceState) — this module only
+//! [`ServiceState`] — this module only
 //! decides *when* to call them (engine polls, harvests, wall-clock
 //! back-off gates) and owns the side effects (journal writes and commits,
 //! condition-variable wakeups, simulation accounting). The `corun-mc`
@@ -27,7 +27,7 @@
 //! `docs/MODELCHECK.md`.
 //!
 //! Fault tolerance (see `docs/FAULTS.md`): an optional
-//! [`FaultPlan`](apu_sim::FaultPlan) injects deterministic machine
+//! [`FaultPlan`] injects deterministic machine
 //! crashes, job failures, stragglers, and power-meter disturbances into
 //! the workers' sessions. A crashed machine's in-flight jobs are evicted
 //! and re-queued with bounded, jittered exponential back-off

@@ -11,7 +11,7 @@
 //! * `CFG0xx` — machine-config and model-quality lints ([`config`]),
 //!   absorbing `apu_sim::validate` and `perf_model::validate`.
 //! * `SPC0xx` — workload-spec lints ([`spec`]).
-//! * `SIM0xx` — runtime sanitizer findings ([`sim`], feature
+//! * `SIM0xx` — runtime sanitizer findings (`sim`, feature
 //!   `sanitize`), fed by `apu_sim::sanitize` hooks in the engine.
 //! * `SRV0xx` — service/fault-tolerance findings: `@chaos` fault-plan
 //!   lints ([`lint_chaos`]) plus the runtime events `corun-serve` emits

@@ -365,7 +365,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Sizes accepted by [`vec`]: a fixed length or a half-open range.
+    /// Sizes accepted by [`vec()`]: a fixed length or a half-open range.
     pub trait SizeRange {
         fn pick(&self, rng: &mut StdRng) -> usize;
     }
